@@ -17,6 +17,7 @@ namespace {
 class SilentDev final : public Deviation {
  public:
   bool silent(Round) const override { return true; }
+  Round next_wake(Round, std::uint32_t) const override { return kNeverWake; }
 };
 
 /// Corrupt leader proposes value A to the lower half of the nodes and
@@ -31,6 +32,7 @@ class EquivocateDev final : public Deviation {
     for (NodeId v = 0; v < n; ++v) api.send(v, v < n / 2 ? a : b);
     return true;
   }
+  Round next_wake(Round, std::uint32_t) const override { return kNeverWake; }
 };
 
 /// Corrupt leader runs the epoch honestly (so certificates and a
@@ -57,6 +59,7 @@ class SelectiveDev final : public Deviation {
     const std::uint32_t dist = (to + n - base) % n;
     return dist < span;
   }
+  Round next_wake(Round, std::uint32_t) const override { return kNeverWake; }
 
  private:
   const Context* ctx_;
@@ -81,6 +84,11 @@ class FloodDev final : public Deviation {
       return;
     }
   }
+  /// The next offset-9 round after r.
+  Round next_wake(Round r, std::uint32_t offset) const override {
+    return r + 1 + (Schedule::kRoundsPerEpoch + 8 - offset) %
+                       Schedule::kRoundsPerEpoch;
+  }
 };
 
 /// Runs the honest logic but drops every outgoing message independently
@@ -94,6 +102,7 @@ class RandomDropDev final : public Deviation {
   bool drop_send(Round, std::uint32_t, Kind, NodeId) override {
     return rng_.chance(p_);
   }
+  Round next_wake(Round, std::uint32_t) const override { return kNeverWake; }
 
  private:
   Rng rng_;

@@ -900,6 +900,36 @@ void LinearNode::on_round(Round r, std::span<const Delivery<Msg>> inbox,
                           const TrafficView<Msg>& rushed,
                           RoundApi<Msg>& api) {
   (void)rushed;
+  act(r, inbox, api);
+  if (dev_ == nullptr) {
+    next_wake_ = honest_wake(r);
+  } else if (dev_->silent(r)) {
+    // A silent round runs no honest step, so the deviation alone decides
+    // when the node must run again.
+    next_wake_ = dev_->next_wake(r, offset_);
+  } else {
+    next_wake_ = std::min(honest_wake(r), dev_->next_wake(r, offset_));
+  }
+}
+
+Round LinearNode::honest_wake(Round r) const {
+  // An ungated node runs a progress step every round. Dirty
+  // fresh-accusation buffers also wake it next round to clear them
+  // (conservative: any later call clears them before reading).
+  if (fresh_dirty_ || !(committed_ || corrupt_proof_have_[cur_leader()])) {
+    return r + 1;
+  }
+  // Gated: offsets 0-7 and 9 are skipped, Respond-1/2 answer only inbox
+  // traffic, and only inbox processing can change the gate. A commit
+  // gates the rest of the slot; a corrupt-proof of the leader gates the
+  // rest of the epoch.
+  const std::uint64_t span = committed_ ? ctx_->sched.rounds_per_slot()
+                                        : Schedule::kRoundsPerEpoch;
+  return (r / span + 1) * span;
+}
+
+void LinearNode::act(Round r, std::span<const Delivery<Msg>> inbox,
+                     RoundApi<Msg>& api) {
   round_ = r;
   const Schedule& sched = ctx_->sched;
   // Schedule position. Rounds arrive consecutively, so the common case is

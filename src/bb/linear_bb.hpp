@@ -228,6 +228,18 @@ class Deviation {
     (void)offset;
     (void)api;
   }
+  /// The earliest round after r (at epoch offset `offset`) at which the
+  /// deviation itself must act with an empty inbox. LinearNode combines it
+  /// with the honest wake rule by min (DESIGN.md §17). After a silent
+  /// round the honest rule does not apply, so the result must also cover
+  /// the round in which the silence ends. Deviations that only act
+  /// through the honest steps (drop_send, override_propose) or never act
+  /// (silent forever) return kNeverWake; the default keeps the node awake
+  /// every round.
+  virtual Round next_wake(Round r, std::uint32_t offset) const {
+    (void)offset;
+    return r + 1;
+  }
 };
 
 class LinearNode final : public Actor<Msg> {
@@ -238,6 +250,7 @@ class LinearNode final : public Actor<Msg> {
   void on_round(Round r, std::span<const Delivery<Msg>> inbox,
                 const TrafficView<Msg>& rushed,
                 RoundApi<Msg>& api) override;
+  Round wake_round() const override { return next_wake_; }
 
   // ---- Introspection (tests + deviations) ----
   NodeId id() const { return id_; }
@@ -261,6 +274,13 @@ class LinearNode final : public Actor<Msg> {
   Msg build_query2() const;
 
  private:
+  /// One round of Algorithm 4 (everything on_round does except choosing
+  /// the next wake round).
+  void act(Round r, std::span<const Delivery<Msg>> inbox, RoundApi<Msg>& api);
+  /// The honest wake rule: the next round at which an empty-inbox call
+  /// could do anything.
+  Round honest_wake(Round r) const;
+
   // Inbox processing: the "at any point" (*) rules plus state updates.
   void process_inbox(Round r, std::span<const Delivery<Msg>> inbox,
                      RoundApi<Msg>& api);
@@ -306,6 +326,7 @@ class LinearNode final : public Actor<Msg> {
   std::unique_ptr<Deviation> dev_;
   Round round_ = 0;
   std::uint32_t offset_ = 0;
+  Round next_wake_ = 0;  ///< reported by wake_round()
 
   // Incremental schedule cache: position the NEXT round will have if it
   // arrives consecutively (it always does under the simulator).

@@ -124,9 +124,15 @@ class VerifyCache {
   std::size_t index_of(std::uint32_t owner, std::uint64_t domain,
                        const Digest& d) const {
     // The digest is SHA-256 output; its first bytes are already uniform.
+    // The owner is mixed in last through an odd multiplier, which is a
+    // bijection on the low bits: every signer of one digest (all votes,
+    // cert-votes and accusations of one target) gets its own slot instead
+    // of evicting the others.
     std::uint64_t h = 0;
     for (int i = 0; i < 8; ++i) h = h << 8 | d[i];
-    h ^= domain ^ (std::uint64_t{owner} << 32);
+    h ^= domain;
+    h ^= h >> 29;
+    h ^= std::uint64_t{owner} * 0x9E3779B97F4A7C15ULL;
     return static_cast<std::size_t>(h & mask_);
   }
 

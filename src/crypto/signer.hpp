@@ -75,10 +75,12 @@ class KeyRegistry {
   // (key owner, domain tag, digest) is the full input of one MAC. All
   // four public operations are pure functions of this triple, so results
   // are memoized: in a broadcast run every recipient re-verifies the same
-  // signature, and only the first verification pays for the HMAC. The
-  // memo is a thread-local VerifyCache keyed on uid() (see cached_mac),
-  // NOT a member: node-sharded rounds call sign/verify on one registry
-  // from several worker threads concurrently, and a shared mutable member
+  // signature, and only the first verification pays for the MAC. That
+  // holds because the memo's index gives each owner of one digest its own
+  // slot (a quorum's votes do not evict each other). The memo is a
+  // thread-local VerifyCache keyed on uid() (see cached_mac), NOT a
+  // member: node-sharded rounds call sign/verify on one registry from
+  // several worker threads concurrently, and a shared mutable member
   // would race (DESIGN.md §14–15).
 };
 

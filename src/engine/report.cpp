@@ -93,6 +93,7 @@ std::string render_bench_json(const std::string& bench_name,
     json += ", \"ns_adversary\": " + std::to_string(r.stats.ns_adversary);
     json += ", \"ns_accounting\": " + std::to_string(r.stats.ns_accounting);
     json += ", \"ns_delivery\": " + std::to_string(r.stats.ns_delivery);
+    json += ", \"activations\": " + std::to_string(r.stats.activations);
     json += ", \"violations\": " + std::to_string(r.violations);
     if (!r.error.empty()) {
       json += ", \"error\": \"";

@@ -11,6 +11,9 @@
 //       are thereby distinguishable in the perf trajectory; all v1
 //       fields are unchanged and remain byte-identical for --jobs 1 vs
 //       --jobs N (wall-clock fields excepted — they are measurements).
+//       Per-run "activations" (actor calls, DESIGN.md §17) sits beside
+//       the ns_* timers as metadata: it is deterministic, but a pure
+//       scheduling change may move it, so it is not a measurement field.
 #pragma once
 
 #include <cstdint>

@@ -33,6 +33,12 @@
 // serial loop. Byzantine/rushing, adversary, accounting, and delivery
 // phases stay serial: they are cheap and order-sensitive.
 //
+// Event-driven activation (DESIGN.md §17): an actor reports the earliest
+// round at which it must run with an empty inbox (Actor::wake_round). Each
+// phase calls, in ascending node-id order, only actors whose inbox is
+// non-empty or whose wake round is due; the default wake round 0 means
+// "every round", so actors that do not opt in run exactly as before.
+//
 // Event-queue scheduler (DESIGN.md §16): delivery is driven by a
 // deterministic event queue parameterized by a NetPolicy
 // (sim/net_policy.hpp). Under the default lockstep policy the queue
@@ -52,6 +58,7 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <span>
@@ -243,6 +250,9 @@ class RoundApi {
   TrafficLog<Msg>* out_;
 };
 
+/// Actor::wake_round value for "only when the inbox is non-empty".
+inline constexpr Round kNeverWake = std::numeric_limits<Round>::max();
+
 /// A node's protocol logic. One Actor instance persists across the entire
 /// multi-shot execution (protocols carry cross-slot state).
 template <typename Msg>
@@ -257,6 +267,15 @@ class Actor {
   virtual void on_round(Round r, std::span<const Delivery<Msg>> inbox,
                         const TrafficView<Msg>& rushed_traffic,
                         RoundApi<Msg>& api) = 0;
+
+  /// Queried right after each on_round call: the earliest later round at
+  /// which this actor must run even if its inbox is empty. The simulator
+  /// skips the actor in every round before it whose inbox is empty. Sound
+  /// only if each skipped call would have sent nothing, traced nothing,
+  /// and left state that a later call reproduces (DESIGN.md §17). The
+  /// default 0 means "every round"; actors that read `rushed_traffic`
+  /// must keep it, since rushed traffic is not an inbox.
+  virtual Round wake_round() const { return 0; }
 };
 
 /// Control surface for the strongly adaptive corruption step.
@@ -399,6 +418,7 @@ class Simulation final : CorruptionCtl<Msg> {
         policy_(std::move(policy)),
         corrupt_(n, 0),
         actors_(n),
+        wake_(n, 0),
         inbox_arena_(std::make_unique<Arena>()),
         inboxes_(n) {
     AMBB_CHECK(n >= 1 && f < n);
@@ -412,6 +432,7 @@ class Simulation final : CorruptionCtl<Msg> {
   void set_actor(NodeId node, std::unique_ptr<Actor<Msg>> actor) {
     AMBB_CHECK(node < n_);
     actors_[node] = std::move(actor);
+    wake_[node] = 0;
   }
 
   /// Apply the full run configuration in one order-insensitive call —
@@ -504,14 +525,13 @@ class Simulation final : CorruptionCtl<Msg> {
     delayed_.clear();
     if (roster_dirty_) rebuild_roster();
 
-    // 1. Honest actors act on their inboxes.
+    // 1. Honest actors act on their inboxes (or a due wake round).
     auto t0 = Clock::now();
     if (node_jobs_ > 1) {
-      run_honest_sharded();
+      st.activations = run_honest_sharded();
     } else {
       for (NodeId v : honest_ids_) {
-        RoundApi<Msg> api(v, n_, &cur_);
-        actors_[v]->on_round(round_, inbox_of(v), TrafficView<Msg>{}, api);
+        st.activations += activate(v, TrafficView<Msg>{}, &cur_);
       }
     }
     const std::size_t honest_deliveries = cur_.deliveries();
@@ -522,8 +542,7 @@ class Simulation final : CorruptionCtl<Msg> {
     //    actors make to the same log.
     const TrafficView<Msg> rushed(&cur_, honest_deliveries);
     for (NodeId v : corrupt_ids_) {
-      RoundApi<Msg> api(v, n_, &cur_);
-      actors_[v]->on_round(round_, inbox_of(v), rushed, api);
+      st.activations += activate(v, rushed, &cur_);
     }
     auto t2 = Clock::now();
 
@@ -715,6 +734,7 @@ class Simulation final : CorruptionCtl<Msg> {
     std::vector<trace::Event> events;
     std::size_t first = 0;  ///< range [first, last) into honest_ids_
     std::size_t last = 0;
+    std::uint32_t activations = 0;
     std::exception_ptr error;
   };
 
@@ -724,8 +744,9 @@ class Simulation final : CorruptionCtl<Msg> {
   /// the serial order. Re-adding each record through cur_ recomputes the
   /// delivery bases against the merged counter, reproducing the serial
   /// bases — everything downstream (erase indices, charging, delivery,
-  /// rushing views) reads cur_ and cannot tell the difference.
-  void run_honest_sharded() {
+  /// rushing views) reads cur_ and cannot tell the difference. Returns
+  /// the number of actors the shards called.
+  std::uint32_t run_honest_sharded() {
     const std::size_t h = honest_ids_.size();
     const unsigned w = node_jobs_;
     if (shards_.size() != w) shards_.resize(w);
@@ -744,7 +765,9 @@ class Simulation final : CorruptionCtl<Msg> {
       if (sh.error) std::rethrow_exception(sh.error);
     }
     trace::TraceSink* downstream = actor_router_.downstream();
+    std::uint32_t activations = 0;
     for (Shard& sh : shards_) {
+      activations += sh.activations;
       if (downstream != nullptr) {
         for (const trace::Event& ev : sh.events) downstream->on_event(ev);
       }
@@ -756,6 +779,7 @@ class Simulation final : CorruptionCtl<Msg> {
         }
       }
     }
+    return activations;
   }
 
   static void shard_entry(void* ctx, unsigned shard) {
@@ -765,20 +789,35 @@ class Simulation final : CorruptionCtl<Msg> {
   void run_shard(unsigned s) {
     Shard& sh = shards_[s];
     sh.error = nullptr;
+    sh.activations = 0;
     sh.log.reset(n_);
     sh.events.clear();
     const bool buffer_trace = actor_router_.downstream() != nullptr;
     if (buffer_trace) ActorTraceRouter::bind_buffer(&sh.events);
     try {
       for (std::size_t i = sh.first; i < sh.last; ++i) {
-        const NodeId v = honest_ids_[i];
-        RoundApi<Msg> api(v, n_, &sh.log);
-        actors_[v]->on_round(round_, inbox_of(v), TrafficView<Msg>{}, api);
+        sh.activations +=
+            activate(honest_ids_[i], TrafficView<Msg>{}, &sh.log);
       }
     } catch (...) {
       sh.error = std::current_exception();
     }
     if (buffer_trace) ActorTraceRouter::bind_buffer(nullptr);
+  }
+
+  /// THE activation rule, shared by the serial honest loop, the shards and
+  /// the Byzantine loop: call v's actor unless its inbox is empty and its
+  /// last reported wake round is still in the future; then cache its next
+  /// wake round. Returns whether the actor ran. Distinct nodes touch
+  /// distinct wake_ entries, so shards never race on them.
+  bool activate(NodeId v, const TrafficView<Msg>& rushed,
+                TrafficLog<Msg>* out) {
+    if (inboxes_[v].empty() && wake_[v] > round_) return false;
+    Actor<Msg>& actor = *actors_[v];
+    RoundApi<Msg> api(v, n_, out);
+    actor.on_round(round_, inbox_of(v), rushed, api);
+    wake_[v] = actor.wake_round();
+    return true;
   }
 
   std::span<const Delivery<Msg>> inbox_of(NodeId v) const {
@@ -852,6 +891,7 @@ class Simulation final : CorruptionCtl<Msg> {
     roster_dirty_ = true;
     AMBB_CHECK(adversary_ != nullptr);
     actors_[node] = adversary_->actor_for(node);
+    wake_[node] = 0;
     trace::Event ev;
     ev.kind = trace::EventKind::kAdversaryAction;
     ev.round = round_;
@@ -872,6 +912,9 @@ class Simulation final : CorruptionCtl<Msg> {
   std::vector<NodeId> corrupt_ids_;  ///< (rebuilt when corruptions change)
   bool roster_dirty_ = true;
   std::vector<std::unique_ptr<Actor<Msg>>> actors_;
+  /// Per node: the wake round its actor reported after its last call (0
+  /// after install = run next round). See activate().
+  std::vector<Round> wake_;
   /// Inbox buffers draw from a shared arena rewound each round (entries
   /// point into prev_'s records). Declared before inboxes_ so the vectors
   /// die before their backing storage.

@@ -7,6 +7,7 @@ namespace ambb {
 void accumulate(RoundStatsSummary& s, const RoundStats& r) {
   ++s.rounds;
   s.records += r.records;
+  s.activations += r.activations;
   s.deliveries += r.deliveries;
   s.honest_bits += r.honest_bits;
   s.adversary_bits += r.adversary_bits;

@@ -20,6 +20,10 @@ struct RoundStats {
 
   /// Traffic records emitted this round (a multicast is ONE record).
   std::uint32_t records = 0;
+  /// Actors the simulator called this round (DESIGN.md §17: an actor with
+  /// an empty inbox and a future wake round is skipped). Measurement
+  /// metadata like ns_*: it sits in the padding after `records`.
+  std::uint32_t activations = 0;
   /// Individual (sender, recipient) deliveries those records fan out to.
   std::uint64_t deliveries = 0;
 
@@ -50,10 +54,15 @@ struct RoundStats {
   }
 };
 
+// One RoundStats is kept per executed round, so its size sets the stats
+// share of peak RSS; new counters must fit existing padding.
+static_assert(sizeof(RoundStats) == 96, "RoundStats grew");
+
 /// Aggregate of a full run's RoundStats (sums, plus the peak round).
 struct RoundStatsSummary {
   std::uint64_t rounds = 0;
   std::uint64_t records = 0;
+  std::uint64_t activations = 0;
   std::uint64_t deliveries = 0;
   std::uint64_t honest_bits = 0;
   std::uint64_t adversary_bits = 0;

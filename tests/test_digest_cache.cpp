@@ -101,7 +101,9 @@ TEST(VerifyCache, FindStoreRoundTripAndCollisionEviction) {
   auto slot = [](std::uint32_t owner, std::uint64_t domain, const Digest& d) {
     std::uint64_t h = 0;
     for (int i = 0; i < 8; ++i) h = h << 8 | d[i];
-    h ^= domain ^ (std::uint64_t{owner} << 32);
+    h ^= domain;
+    h ^= h >> 29;
+    h ^= std::uint64_t{owner} * 0x9E3779B97F4A7C15ULL;
     return h & 1;
   };
 
@@ -132,6 +134,25 @@ TEST(VerifyCache, FindStoreRoundTripAndCollisionEviction) {
   ASSERT_NE(hit2, nullptr);
   EXPECT_EQ(*hit2, m2);
   EXPECT_GT(vc.stats().evictions, 0u);
+}
+
+TEST(VerifyCache, EverySignerOfOneDigestKeepsItsEntry) {
+  // One digest signed by 128 owners (a vote quorum, or all accusations of
+  // one target): at default capacity every MAC must stay resident. An
+  // index that ignores the owner in its low bits maps all of them to one
+  // slot, so each store evicts the previous one and only the last hits.
+  VerifyCache vc;
+  const Digest d = Sha256::hash("vote-digest");
+  for (std::uint32_t owner = 0; owner < 128; ++owner) {
+    vc.store(owner, /*domain=*/7, d, Sha256::hash(std::to_string(owner)));
+  }
+  EXPECT_EQ(vc.stats().evictions, 0u);
+  for (std::uint32_t owner = 0; owner < 128; ++owner) {
+    const Digest* mac = vc.find(owner, 7, d);
+    ASSERT_NE(mac, nullptr) << "owner " << owner;
+    EXPECT_EQ(*mac, Sha256::hash(std::to_string(owner)));
+  }
+  EXPECT_EQ(vc.stats().hits, 128u);
 }
 
 TEST(Sha256, StringViewOverloadIsTheSpanOverload) {

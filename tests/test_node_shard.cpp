@@ -77,6 +77,7 @@ void expect_identical(const RunResult& a, const RunResult& b,
         << what << " round " << i;
     EXPECT_EQ(ra.erasures, rb.erasures) << what << " round " << i;
     EXPECT_EQ(ra.corruptions, rb.corruptions) << what << " round " << i;
+    EXPECT_EQ(ra.activations, rb.activations) << what << " round " << i;
   }
 }
 
@@ -198,6 +199,24 @@ TEST(NodeShard, OvershardedRun) {
   p.seed = 8;
   p.adversary = "silent";
   expect_shard_invariant("linear", p, 32);
+}
+
+// Event-driven activation (DESIGN.md §17): the shards apply the same
+// skip rule as the serial loop, so the per-round actor-call counts match,
+// and Algorithm 4's committed nodes sleep through the quiet epochs.
+TEST(NodeShard, ActivationsMatchAndSkipIdleActors) {
+  CommonParams p;
+  p.n = 32;
+  p.f = 8;
+  p.slots = 4;
+  p.seed = 3;
+  p.adversary = "mixed";
+  const RunResult serial = run_with("linear", p, 1);
+  const RunResult sharded = run_with("linear", p, 4);
+  expect_identical(serial, sharded, "linear/mixed n=32 node-jobs 1 vs 4");
+  const std::uint64_t calls = serial.stats_summary().activations;
+  EXPECT_GT(calls, 0u);
+  EXPECT_LT(calls, std::uint64_t{p.n} * serial.rounds);
 }
 
 // node_jobs = 0 resolves to hardware concurrency inside the simulator;

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <vector>
 
 namespace ambb {
 namespace {
@@ -251,6 +253,54 @@ TEST(Simulation, InitialCorruptionsOverBudgetThrow) {
   } adv;
   for (NodeId v = 0; v < 3; ++v) sim.set_actor(v, idle());
   EXPECT_THROW(bind(sim, &adv), CheckError);
+}
+
+/// Records the rounds it runs in and reports a scripted wake round.
+class SleepyActor final : public Actor<ToyMsg> {
+ public:
+  explicit SleepyActor(std::function<Round(Round)> wake)
+      : wake_(std::move(wake)) {}
+  void on_round(Round r, std::span<const Delivery<ToyMsg>>,
+                const TrafficView<ToyMsg>&, RoundApi<ToyMsg>&) override {
+    ran.push_back(r);
+  }
+  Round wake_round() const override { return wake_(ran.back()); }
+
+  std::vector<Round> ran;
+
+ private:
+  std::function<Round(Round)> wake_;
+};
+
+TEST(Simulation, ActorsRunOnlyWithAnInboxOrADueWakeRound) {
+  CostLedger ledger({"toy"});
+  Simulation<ToyMsg> sim(3, 1, &ledger, toy_accounting());
+  auto never = std::make_unique<SleepyActor>([](Round) { return kNeverWake; });
+  auto every3 = std::make_unique<SleepyActor>([](Round r) { return r + 3; });
+  SleepyActor* a0 = never.get();
+  SleepyActor* a1 = every3.get();
+  sim.set_actor(0, std::move(never));
+  sim.set_actor(1, std::move(every3));
+  sim.set_actor(2, std::make_unique<ScriptActor>(
+                       [](Round r, auto, auto, RoundApi<ToyMsg>& api) {
+                         if (r == 3) api.send(0, ToyMsg{1});
+                         if (r == 4) api.send(1, ToyMsg{2});
+                       }));
+  sim.run_rounds(9);
+  // Every actor runs in round 0; afterwards only a delivery (round 4 for
+  // node 0, round 5 for node 1) or a due wake round calls it.
+  EXPECT_EQ(a0->ran, (std::vector<Round>{0, 4}));
+  EXPECT_EQ(a1->ran, (std::vector<Round>{0, 3, 5, 8}));
+  EXPECT_EQ(sim.summary().activations, 2u + 4u + 9u);
+  EXPECT_EQ(sim.round_stats()[1].activations, 1u);
+  EXPECT_EQ(sim.round_stats()[4].activations, 2u);
+
+  // Installing an actor makes it due in the next round.
+  auto fresh = std::make_unique<SleepyActor>([](Round) { return kNeverWake; });
+  SleepyActor* a0b = fresh.get();
+  sim.set_actor(0, std::move(fresh));
+  sim.run_rounds(2);
+  EXPECT_EQ(a0b->ran, (std::vector<Round>{9}));
 }
 
 }  // namespace
