@@ -18,9 +18,10 @@
 // Threading: DigestCache::local() is thread-local (one cache per
 // worker thread), and KeyRegistry's MAC memo lives in a thread-local
 // VerifyCache keyed on the registry uid (cleared when a thread switches
-// registries) — node-sharded rounds share one registry across worker
-// threads, so the cache cannot live inside the registry itself. No
-// locks, no sharing, race-free under any --jobs / --node-jobs setting.
+// registries). The engine's --jobs workers execute independent runs
+// concurrently; one memo per thread keeps the memo memory proportional
+// to the worker count, not to the number of live registries. No locks,
+// no sharing, race-free under any --jobs setting.
 #pragma once
 
 #include <array>

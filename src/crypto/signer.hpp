@@ -79,9 +79,9 @@ class KeyRegistry {
   // holds because the memo's index gives each owner of one digest its own
   // slot (a quorum's votes do not evict each other). The memo is a
   // thread-local VerifyCache keyed on uid() (see cached_mac), NOT a
-  // member: node-sharded rounds call sign/verify on one registry from
-  // several worker threads concurrently, and a shared mutable member
-  // would race (DESIGN.md §14–15).
+  // member: the engine's --jobs workers run independent runs at once,
+  // and one memo per thread keeps memo memory proportional to the worker
+  // count rather than to the number of live registries (DESIGN.md §14).
 };
 
 }  // namespace ambb

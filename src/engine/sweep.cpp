@@ -4,6 +4,7 @@
 #include <cmath>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -40,7 +41,16 @@ std::vector<std::uint32_t> fs_for(const SweepSpec& spec,
 }
 
 std::vector<Slot> slots_for(const SweepSpec& spec, std::uint32_t n) {
-  if (spec.slots_per_n != 0) return {spec.slots_per_n * n};
+  if (spec.slots_per_n != 0) {
+    // 64-bit product: in 32 bits, slots-per-n 2^30 at n=4 wraps to a
+    // 0-slot run that trivially passes every check.
+    const std::uint64_t slots = std::uint64_t{spec.slots_per_n} * n;
+    AMBB_CHECK_MSG(slots <= std::numeric_limits<Slot>::max(),
+                   "sweep '" << spec.name << "': slots-per-n "
+                             << spec.slots_per_n << " at n=" << n << " gives "
+                             << slots << " slots, more than 2^32 - 1");
+    return {static_cast<Slot>(slots)};
+  }
   if (!spec.slots_list.empty()) return spec.slots_list;
   return {Slot{8}};
 }

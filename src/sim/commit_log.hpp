@@ -27,15 +27,6 @@ class CommitLog {
     flat_.reserve(static_cast<std::size_t>(max_slot + 1) * n_);
   }
 
-  /// Materialize all cells for slots [0, max_slot] up front. Required
-  /// before node-sharded rounds: worker threads record() into disjoint
-  /// (slot, node) cells concurrently, which is race-free only if no call
-  /// can trigger the lazy resize below (a resize moves every cell).
-  void presize(Slot max_slot) {
-    const std::size_t need = static_cast<std::size_t>(max_slot + 1) * n_;
-    if (need > flat_.size()) flat_.resize(need);
-  }
-
   void record(NodeId node, Slot slot, Value value, Round round) {
     AMBB_CHECK(node < n_ && slot >= 1);
     const std::size_t need = static_cast<std::size_t>(slot + 1) * n_;

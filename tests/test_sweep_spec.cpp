@@ -237,6 +237,32 @@ TEST(SweepExpand, SlotsPerNScalesWithN) {
   EXPECT_EQ(jobs[1].params.slots, Slot{60});
 }
 
+TEST(SweepExpand, SlotsPerNOverflowIsRejected) {
+  // 2^30 * 4 wrapped to a 0-slot run that reported ok.
+  const auto specs = parse_spec(
+      "sweep big\nprotocol quadratic\nn 4\nf 1\nslots-per-n 1073741824\n");
+  ASSERT_EQ(specs.size(), 1u);
+  try {
+    expand(specs[0]);
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("sweep 'big'"), std::string::npos) << what;
+    EXPECT_NE(what.find("slots-per-n 1073741824"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("n=4"), std::string::npos) << what;
+  }
+  // The largest representable product still expands.
+  SweepSpec edge;
+  edge.protocol = "quadratic";
+  edge.ns = {3};
+  edge.fs = {1};
+  edge.slots_per_n = 1431655765u;  // 3 * this = 2^32 - 1
+  const auto jobs = expand(edge);
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_EQ(jobs[0].params.slots, Slot{4294967295u});
+}
+
 TEST(SweepExpand, AllowStallComesFromRegistryLivenessFailures) {
   SweepSpec spec;
   spec.protocol = "hotstuff";
