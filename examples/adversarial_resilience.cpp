@@ -23,7 +23,7 @@ int main() {
                "steady state (last 30)", "amortization factor"});
   for (const char* adv : {"none", "silent", "equivocate", "selective",
                           "flood", "mixed", "adaptive-erase"}) {
-    linear::LinearConfig cfg;
+    RunConfig cfg;
     cfg.n = n;
     cfg.f = f;
     cfg.slots = slots;

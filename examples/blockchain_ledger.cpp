@@ -22,7 +22,7 @@ int main() {
   const std::uint32_t n = 16, f = 6;
   const Slot blocks = 24;
 
-  linear::LinearConfig cfg;
+  RunConfig cfg;
   cfg.n = n;
   cfg.f = f;
   cfg.slots = blocks;

@@ -24,7 +24,7 @@ int main() {
   const std::uint32_t f = 6;  // dishonest majority
   const Slot rounds = n;      // one contribution per participant
 
-  quad::QuadConfig cfg;
+  RunConfig cfg;
   cfg.n = n;
   cfg.f = f;
   cfg.slots = rounds;

@@ -17,7 +17,7 @@
 int main(int argc, char** argv) {
   using namespace ambb;
 
-  linear::LinearConfig cfg;
+  RunConfig cfg;
   cfg.n = argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 16;
   cfg.f = argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 6;
   cfg.slots = argc > 3 ? static_cast<Slot>(std::atoi(argv[3])) : 8;

@@ -327,6 +327,20 @@ class ScheduledAdversary final : public Adversary<Msg> {
   trace::TraceSink* trace_ = nullptr;
 };
 
+/// The static named strategies of every family: nodes 0..f-1 are corrupt
+/// from round 0, each replaced by the hand-written Byzantine actor
+/// `byzantine(node)`.
+template <typename Msg>
+std::unique_ptr<ScheduledAdversary<Msg>> make_static_adversary(
+    std::uint32_t n, std::uint32_t f, std::uint64_t seed,
+    typename ScheduledAdversary<Msg>::ActorFactory byzantine) {
+  FaultSchedule s;
+  for (NodeId v = 0; v < f; ++v) s.corruptions.push_back(CorruptEvent{0, v});
+  return std::make_unique<ScheduledAdversary<Msg>>(std::move(s), n, seed,
+                                                   nullptr,
+                                                   std::move(byzantine));
+}
+
 /// Everything a driver supplies to instantiate a framework adversary.
 template <typename Msg>
 struct ScheduleEnv {

@@ -33,18 +33,9 @@ void DeliveryQueue::drain() {
   }
 }
 
-AbcResult run_atomic_broadcast(const AbcConfig& cfg) {
-  linear::LinearConfig lin;
-  lin.n = cfg.n;
-  lin.f = cfg.f;
-  lin.slots = cfg.slots;
-  lin.seed = cfg.seed;
-  lin.eps = cfg.eps;
-  lin.adversary = cfg.adversary;
-  if (cfg.payload_for_slot) lin.input_for_slot = cfg.payload_for_slot;
-
+AbcResult run_atomic_broadcast(const RunConfig& cfg) {
   AbcResult out;
-  out.bb = linear::run_linear(lin);
+  out.bb = linear::run_linear(cfg);
   out.replicas.resize(cfg.n);
   for (NodeId v = 0; v < cfg.n; ++v) {
     for (Slot k = 1; k <= cfg.slots; ++k) {

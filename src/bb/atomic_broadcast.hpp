@@ -16,8 +16,8 @@
 // slots' proofs); the Delivery queue buffers and releases in order.
 #pragma once
 
-#include <functional>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "bb/linear_bb.hpp"
@@ -54,17 +54,6 @@ class DeliveryQueue {
   std::vector<std::optional<LogEntry>> pending_;  // index: slot
 };
 
-struct AbcConfig {
-  std::uint32_t n = 16;
-  std::uint32_t f = 6;
-  Slot slots = 8;
-  std::uint64_t seed = 1;
-  double eps = 0.1;
-  std::string adversary = "none";
-  /// Payload the proposer of a slot injects; defaults to a seeded hash.
-  std::function<Value(Slot)> payload_for_slot;
-};
-
 struct AbcResult {
   RunResult bb;                          ///< the underlying BB execution
   std::vector<DeliveryQueue> replicas;   ///< one log per node (index = id)
@@ -73,8 +62,10 @@ struct AbcResult {
 };
 
 /// Run atomic broadcast over Algorithm 4 (amortized O(kappa n) per
-/// delivered entry) and materialize every replica's delivered log.
-AbcResult run_atomic_broadcast(const AbcConfig& cfg);
+/// delivered entry) and materialize every replica's delivered log. The
+/// payload the proposer of a slot injects is cfg.input_for_slot
+/// (default: a seeded hash).
+AbcResult run_atomic_broadcast(const RunConfig& cfg);
 
 /// Property checkers (empty result = holds).
 std::vector<std::string> check_total_order(const AbcResult& r);

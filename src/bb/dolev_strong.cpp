@@ -7,6 +7,7 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "crypto/intern.hpp"
+#include "runner/drive.hpp"
 
 namespace ambb::ds {
 
@@ -198,127 +199,59 @@ class StaggerDev final : public Deviation {
   }
 };
 
-class DsAdversary final : public Adversary<Msg> {
- public:
-  DsAdversary(const Context* ctx, std::string role)
-      : ctx_(ctx), role_(std::move(role)) {}
+std::unique_ptr<Deviation> make_ds_deviation(const std::string& role) {
+  if (role == "silent") return std::make_unique<SilentDev>();
+  if (role == "equivocate") return std::make_unique<EquivocateDev>();
+  if (role == "stagger") return std::make_unique<StaggerDev>();
+  AMBB_CHECK_MSG(false, "unknown ds role " << role);
+}
 
-  std::vector<NodeId> initial_corruptions() override {
-    std::vector<NodeId> out;
-    for (NodeId v = 0; v < ctx_->f; ++v) out.push_back(v);
-    return out;
+/// Dolev-Strong as a drive() family (runner/drive.hpp).
+struct DsFamily : FamilyDefaults {
+  using Msg = ds::Msg;
+  using Sim = ds::Sim;
+
+  static std::vector<std::string> kind_names() { return ds::kind_names(); }
+
+  static void check(const RunConfig& cfg) {
+    AMBB_CHECK_MSG(cfg.n >= 3 && cfg.f < cfg.n, "Dolev-Strong needs f < n");
   }
 
-  std::unique_ptr<Actor<Msg>> actor_for(NodeId node) override {
-    std::unique_ptr<Deviation> dev;
-    if (role_ == "silent") dev = std::make_unique<SilentDev>();
-    else if (role_ == "equivocate") dev = std::make_unique<EquivocateDev>();
-    else if (role_ == "stagger") dev = std::make_unique<StaggerDev>();
-    else AMBB_CHECK_MSG(false, "unknown ds role " << role_);
-    return std::make_unique<DsNode>(node, ctx_, std::move(dev));
+  explicit DsFamily(const RunConfig& cfg)
+      : registry(cfg.n, cfg.seed), msig(registry) {
+    ctx.use_multisig = cfg.use_multisig;
+    ctx.sched = Schedule{cfg.f + 2ull};
+    ctx.registry = &registry;
+    ctx.msig = &msig;
   }
 
- private:
-  const Context* ctx_;
-  std::string role_;
+  CostPolicy cost() const {
+    return CostPolicy{ctx.wire, ctx.sched, ctx.use_multisig};
+  }
+
+  std::unique_ptr<Actor<Msg>> node(NodeId v) const {
+    return std::make_unique<DsNode>(v, &ctx);
+  }
+  std::unique_ptr<Actor<Msg>> seat(NodeId v) const { return node(v); }
+
+  /// "silent" | "equivocate" | "stagger" on the first f nodes.
+  std::unique_ptr<Adversary<Msg>> named_adversary(const std::string& spec,
+                                                  std::uint64_t seed) const {
+    return adversary::make_static_adversary<Msg>(
+        ctx.n, ctx.f, seed, [c = &ctx, spec](NodeId v) {
+          return std::make_unique<DsNode>(v, c, make_ds_deviation(spec));
+        });
+  }
+
+  KeyRegistry registry;
+  MultiSigScheme msig;
+  Context ctx;
 };
 
 }  // namespace
 
-RunResult run_dolev_strong(const DsConfig& cfg) {
-  AMBB_CHECK_MSG(cfg.n >= 3 && cfg.f < cfg.n, "Dolev-Strong needs f < n");
-
-  KeyRegistry registry(cfg.n, cfg.seed);
-  MultiSigScheme msig(registry);
-  CommitLog commits(cfg.n);
-  commits.reserve(cfg.slots);
-  CostLedger ledger(kind_names());
-
-  Context ctx;
-  ctx.n = cfg.n;
-  ctx.f = cfg.f;
-  ctx.use_multisig = cfg.use_multisig;
-  ctx.wire = WireModel{cfg.n, cfg.kappa_bits, cfg.value_bits};
-  ctx.sched = Schedule{cfg.f};
-  ctx.registry = &registry;
-  ctx.msig = &msig;
-  ctx.commits = &commits;
-  const std::uint64_t input_seed = cfg.seed ^ 0x5EEDF00DULL;
-  ctx.input_for_slot = cfg.input_for_slot
-                           ? cfg.input_for_slot
-                           : [input_seed](Slot s) {
-                               std::uint64_t x = input_seed + s;
-                               return splitmix64(x);
-                             };
-  ctx.sender_of = cfg.sender_of ? cfg.sender_of : [n = cfg.n](Slot s) {
-    return static_cast<NodeId>((s - 1) % n);
-  };
-  Sim sim(cfg.n, cfg.f, &ledger,
-          CostPolicy{ctx.wire, ctx.sched, ctx.use_multisig});
-  ctx.trace = cfg.trace;
-  for (NodeId v = 0; v < cfg.n; ++v) {
-    sim.set_actor(v, std::make_unique<DsNode>(v, &ctx));
-  }
-  const std::uint64_t total_rounds =
-      static_cast<std::uint64_t>(cfg.slots) * ctx.sched.rounds_per_slot();
-  const NetPolicy net = make_net_policy(cfg.net, cfg.seed);
-  std::unique_ptr<Adversary<Msg>> adversary;
-  if (adversary::is_schedule_spec(cfg.adversary)) {
-    adversary::ScheduleEnv<Msg> env;
-    env.n = cfg.n;
-    env.f = cfg.f;
-    env.seed = cfg.seed ^ 0xAD7E25A1ULL;
-    env.horizon = total_rounds;
-    env.trace = cfg.trace;
-    env.net = net;
-    env.honest_factory = [ctxp = &ctx](NodeId v) {
-      return std::make_unique<DsNode>(v, ctxp);
-    };
-    adversary = adversary::make_scheduled_adversary<Msg>(cfg.adversary, env);
-  } else if (cfg.adversary != "none") {
-    adversary = std::make_unique<DsAdversary>(&ctx, cfg.adversary);
-  }
-  SimConfig<Msg> sc;
-  sc.trace = cfg.trace;
-  sc.net = net;
-  sc.adversary = adversary.get();
-  sim.configure(sc);
-
-  for (std::uint64_t i = 0; i < total_rounds; ++i) {
-    if (ctx.sched.offset_of(i) == 0) {
-      const Slot k = ctx.sched.slot_of(i);
-      trace::Event ev;
-      ev.kind = trace::EventKind::kSlotStart;
-      ev.round = i;
-      ev.slot = k;
-      ev.node = ctx.sender_of(k);
-      trace::emit(cfg.trace, ev);
-    }
-    sim.step();
-  }
-
-  RunResult res;
-  res.n = cfg.n;
-  res.f = cfg.f;
-  res.slots = cfg.slots;
-  res.rounds = sim.now();
-  res.honest_bits = ledger.honest_bits_total();
-  res.adversary_bits = ledger.adversary_bits_total();
-  res.honest_msgs = ledger.honest_msgs_total();
-  res.per_slot_bits = ledger.per_slot();
-  res.kind_names = ledger.kind_names();
-  res.per_kind_bits = ledger.per_kind();
-  res.commits = commits;
-  res.round_stats = sim.round_stats();
-  res.corrupt.resize(cfg.n);
-  for (NodeId v = 0; v < cfg.n; ++v) res.corrupt[v] = sim.is_corrupt(v);
-  res.senders.resize(cfg.slots + 1, kNoNode);
-  res.sender_inputs.resize(cfg.slots + 1, kBotValue);
-  for (Slot s = 1; s <= cfg.slots; ++s) {
-    res.senders[s] = ctx.sender_of(s);
-    res.sender_inputs[s] = ctx.input_for_slot(s);
-  }
-  return res;
+RunResult run_dolev_strong(const RunConfig& cfg) {
+  return drive<DsFamily>(cfg);
 }
 
 }  // namespace ambb::ds

@@ -17,7 +17,6 @@
 //                     -> O((kappa + n) n^2) = O(kappa n^2 + n^3) per slot
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,6 +27,7 @@
 #include "crypto/multisig.hpp"
 #include "crypto/signer.hpp"
 #include "runner/result.hpp"
+#include "runner/run_config.hpp"
 #include "sim/commit_log.hpp"
 #include "sim/net.hpp"
 
@@ -38,7 +38,7 @@ enum class Kind : MsgKind { kRelay = 0, kKindCount };
 std::vector<std::string> kind_names();
 
 /// A relayed value with its signature chain. Both representations are
-/// carried; `use_multisig` in the config decides which one is *charged*
+/// carried; RunConfig::use_multisig decides which one is *charged*
 /// on the wire (and which one honest nodes verify).
 struct Msg {
   Kind kind = Kind::kRelay;
@@ -50,29 +50,14 @@ struct Msg {
 
 Digest relay_digest(Slot k, Value v);
 
-struct Schedule {
-  std::uint32_t f = 0;
-  std::uint64_t rounds_per_slot() const { return f + 2ull; }
-  Slot slot_of(Round r) const {
-    return static_cast<Slot>(r / rounds_per_slot()) + 1;
-  }
-  std::uint32_t offset_of(Round r) const {
-    return static_cast<std::uint32_t>(r % rounds_per_slot());
-  }
-};
+/// f + 2 rounds per slot (round 0 send, relay rounds 1..f+1).
+using Schedule = SlotSchedule;
 
-struct Context {
-  std::uint32_t n = 0;
-  std::uint32_t f = 0;
+struct Context : RunContext {
   bool use_multisig = false;
-  WireModel wire;
   Schedule sched;
   const KeyRegistry* registry = nullptr;
   const MultiSigScheme* msig = nullptr;
-  CommitLog* commits = nullptr;
-  std::function<Value(Slot)> input_for_slot;
-  std::function<NodeId(Slot)> sender_of;
-  trace::TraceSink* trace = nullptr;  ///< optional event sink, not owned
 };
 
 std::uint64_t size_bits(const Msg& m, const Context& ctx);
@@ -148,24 +133,9 @@ class DsNode final : public Actor<Msg> {
   std::vector<Value> extracted_;
 };
 
-struct DsConfig {
-  std::uint32_t n = 8;
-  std::uint32_t f = 5;
-  Slot slots = 4;
-  std::uint64_t seed = 1;
-  bool use_multisig = false;
-  std::uint32_t kappa_bits = kDefaultKappaBits;
-  std::uint32_t value_bits = kDefaultValueBits;
-  std::string adversary = "none";  // none | silent | equivocate | stagger
-  /// Network delay policy (DESIGN.md §16): "lockstep" (default) |
-  /// "bounded:<delta>" | "async[:<cap>]".
-  std::string net = "lockstep";
-  /// Optional event sink, not owned (see src/trace/).
-  trace::TraceSink* trace = nullptr;
-  std::function<Value(Slot)> input_for_slot;
-  std::function<NodeId(Slot)> sender_of;
-};
-
-RunResult run_dolev_strong(const DsConfig& cfg);
+/// A full multi-shot run through the shared harness (runner/drive.hpp);
+/// any f < n. cfg.use_multisig picks the wire mode. Named adversaries:
+/// "silent", "equivocate", "stagger".
+RunResult run_dolev_strong(const RunConfig& cfg);
 
 }  // namespace ambb::ds

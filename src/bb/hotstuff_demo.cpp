@@ -1,13 +1,13 @@
 #include "bb/hotstuff_demo.hpp"
 
+#include <algorithm>
+
 #include "adversary/scheduled.hpp"
 #include "common/byte_buf.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "crypto/intern.hpp"
-#include <algorithm>
-
-#include "runner/assemble.hpp"
+#include "runner/drive.hpp"
 
 namespace ambb::hs {
 
@@ -236,109 +236,57 @@ class HsNode final : public Actor<Msg> {
   bool cert_made_ = false, proof_made_ = false;
 };
 
-/// Corrupt leaders withhold the commit-proof from the f highest-numbered
-/// honest nodes; corrupt non-leaders behave honestly (they must, or the
-/// quorum narrative falls apart — the attack needs a *valid* proof).
-class SelectiveHsAdversary final : public Adversary<Msg> {
- public:
-  explicit SelectiveHsAdversary(const Context* ctx) : ctx_(ctx) {}
+/// HotStuff-without-fallback as a drive() family (runner/drive.hpp).
+struct HsFamily : FamilyDefaults {
+  using Msg = hs::Msg;
+  using Sim = hs::Sim;
+  static constexpr bool kBudgetAtLeastOne = true;
 
-  std::vector<NodeId> initial_corruptions() override {
-    std::vector<NodeId> out;
-    for (NodeId v = 0; v < ctx_->f; ++v) out.push_back(v);
-    return out;
+  static std::vector<std::string> kind_names() { return hs::kind_names(); }
+
+  static void check(const RunConfig& cfg) {
+    AMBB_CHECK_MSG(3 * cfg.f < cfg.n, "HotStuff assumes f < n/3");
   }
 
-  std::unique_ptr<Actor<Msg>> actor_for(NodeId node) override {
-    const std::uint32_t n = ctx_->n;
-    const std::uint32_t f = ctx_->f;
-    return std::make_unique<HsNode>(
-        node, ctx_, [n, f](Slot, NodeId to) { return to >= n - f; });
+  explicit HsFamily(const RunConfig& cfg)
+      : registry(cfg.n, cfg.seed), th(registry, cfg.n - cfg.f) {
+    ctx.sched = Schedule{6};
+    ctx.registry = &registry;
+    ctx.th = &th;
   }
 
- private:
-  const Context* ctx_;
+  CostPolicy cost() const { return CostPolicy{ctx.wire, ctx.sched}; }
+
+  std::unique_ptr<Actor<Msg>> node(NodeId v) const {
+    return std::make_unique<HsNode>(v, &ctx);
+  }
+  std::unique_ptr<Actor<Msg>> seat(NodeId v) const { return node(v); }
+
+  /// "selective": corrupt leaders withhold the commit-proof from the f
+  /// highest-numbered honest nodes; corrupt non-leaders behave honestly
+  /// (they must, or the quorum narrative falls apart — the attack needs a
+  /// *valid* proof).
+  std::unique_ptr<Adversary<Msg>> named_adversary(const std::string& spec,
+                                                  std::uint64_t seed) const {
+    AMBB_CHECK_MSG(spec == "selective", "unknown hs adversary " << spec);
+    return adversary::make_static_adversary<Msg>(
+        ctx.n, ctx.f, seed, [c = &ctx](NodeId v) {
+          return std::make_unique<HsNode>(
+              v, c, [n = c->n, f = c->f](Slot, NodeId to) {
+                return to >= n - f;
+              });
+        });
+  }
+
+  KeyRegistry registry;
+  ThresholdScheme th;
+  Context ctx;
 };
 
 }  // namespace
 
-RunResult run_hotstuff_demo(const HsConfig& cfg) {
-  AMBB_CHECK_MSG(3 * cfg.f < cfg.n, "HotStuff assumes f < n/3");
-
-  KeyRegistry registry(cfg.n, cfg.seed);
-  ThresholdScheme th(registry, cfg.n - cfg.f);
-  CommitLog commits(cfg.n);
-  commits.reserve(cfg.slots);
-  CostLedger ledger(kind_names());
-
-  Context ctx;
-  ctx.n = cfg.n;
-  ctx.f = cfg.f;
-  ctx.wire = WireModel{cfg.n, cfg.kappa_bits, cfg.value_bits};
-  ctx.sched = Schedule{};
-  ctx.registry = &registry;
-  ctx.th = &th;
-  ctx.commits = &commits;
-  const std::uint64_t input_seed = cfg.seed ^ 0x5EEDF00DULL;
-  ctx.input_for_slot = cfg.input_for_slot
-                           ? cfg.input_for_slot
-                           : [input_seed](Slot s) {
-                               std::uint64_t x = input_seed + s;
-                               return splitmix64(x);
-                             };
-  ctx.sender_of = cfg.sender_of ? cfg.sender_of : [n = cfg.n](Slot s) {
-    return static_cast<NodeId>((s - 1) % n);
-  };
-  Sim sim(cfg.n, std::max<std::uint32_t>(cfg.f, 1), &ledger,
-          CostPolicy{ctx.wire, ctx.sched});
-  ctx.trace = cfg.trace;
-  for (NodeId v = 0; v < cfg.n; ++v) {
-    sim.set_actor(v, std::make_unique<HsNode>(v, &ctx));
-  }
-  const std::uint64_t total_rounds =
-      static_cast<std::uint64_t>(cfg.slots) * ctx.sched.rounds_per_slot();
-  const NetPolicy net = make_net_policy(cfg.net, cfg.seed);
-  std::unique_ptr<Adversary<Msg>> adversary;
-  if (adversary::is_schedule_spec(cfg.adversary)) {
-    adversary::ScheduleEnv<Msg> env;
-    env.n = cfg.n;
-    env.f = cfg.f;
-    env.seed = cfg.seed ^ 0xAD7E25A1ULL;
-    env.horizon = total_rounds;
-    env.trace = cfg.trace;
-    env.net = net;
-    env.honest_factory = [ctxp = &ctx](NodeId v) {
-      return std::make_unique<HsNode>(v, ctxp);
-    };
-    adversary = adversary::make_scheduled_adversary<Msg>(cfg.adversary, env);
-  } else if (cfg.adversary == "selective") {
-    adversary = std::make_unique<SelectiveHsAdversary>(&ctx);
-  } else {
-    AMBB_CHECK_MSG(cfg.adversary == "none",
-                   "unknown hs adversary " << cfg.adversary);
-  }
-  SimConfig<Msg> sc;
-  sc.trace = cfg.trace;
-  sc.net = net;
-  sc.adversary = adversary.get();
-  sim.configure(sc);
-  for (std::uint64_t i = 0; i < total_rounds; ++i) {
-    if (ctx.sched.offset_of(i) == 0) {
-      const Slot k = ctx.sched.slot_of(i);
-      trace::Event ev;
-      ev.kind = trace::EventKind::kSlotStart;
-      ev.round = i;
-      ev.slot = k;
-      ev.node = ctx.sender_of(k);
-      trace::emit(cfg.trace, ev);
-    }
-    sim.step();
-  }
-
-  return assemble_result(
-      cfg.n, cfg.f, cfg.slots, sim.now(), ledger, commits, sim.round_stats(),
-      [&sim](NodeId v) { return sim.is_corrupt(v); }, ctx.sender_of,
-      ctx.input_for_slot);
+RunResult run_hotstuff_demo(const RunConfig& cfg) {
+  return drive<HsFamily>(cfg);
 }
 
 }  // namespace ambb::hs

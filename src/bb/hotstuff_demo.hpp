@@ -13,7 +13,6 @@
 // synchronous multi-shot BB" reading Appendix A gives it.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,6 +21,7 @@
 #include "common/wire.hpp"
 #include "crypto/threshold.hpp"
 #include "runner/result.hpp"
+#include "runner/run_config.hpp"
 #include "sim/commit_log.hpp"
 #include "sim/net.hpp"
 
@@ -51,27 +51,13 @@ Digest prop_digest(Slot k, Value v);
 Digest round1_digest(Slot k, Value v);
 Digest round2_digest(Slot k, Value v);
 
-struct Schedule {
-  std::uint64_t rounds_per_slot() const { return 6; }
-  Slot slot_of(Round r) const {
-    return static_cast<Slot>(r / rounds_per_slot()) + 1;
-  }
-  std::uint32_t offset_of(Round r) const {
-    return static_cast<std::uint32_t>(r % rounds_per_slot());
-  }
-};
+/// 6 rounds per slot.
+using Schedule = SlotSchedule;
 
-struct Context {
-  std::uint32_t n = 0;
-  std::uint32_t f = 0;
-  WireModel wire;
+struct Context : RunContext {
   Schedule sched;
   const KeyRegistry* registry = nullptr;
   const ThresholdScheme* th = nullptr;  ///< t = n - f
-  CommitLog* commits = nullptr;
-  std::function<Value(Slot)> input_for_slot;
-  std::function<NodeId(Slot)> sender_of;
-  trace::TraceSink* trace = nullptr;  ///< optional event sink, not owned
 };
 
 std::uint64_t size_bits(const Msg& m, const WireModel& wire);
@@ -92,26 +78,10 @@ struct CostPolicy {
 
 using Sim = Simulation<Msg, CostPolicy>;
 
-struct HsConfig {
-  std::uint32_t n = 8;
-  std::uint32_t f = 2;
-  Slot slots = 4;
-  std::uint64_t seed = 1;
-  std::uint32_t kappa_bits = kDefaultKappaBits;
-  std::uint32_t value_bits = kDefaultValueBits;
-  std::string adversary = "none";  // none | selective
-  /// Network delay policy (DESIGN.md §16): "lockstep" (default) |
-  /// "bounded:<delta>" | "async[:<cap>]".
-  std::string net = "lockstep";
-  /// Optional event sink, not owned (see src/trace/).
-  trace::TraceSink* trace = nullptr;
-  std::function<Value(Slot)> input_for_slot;
-  std::function<NodeId(Slot)> sender_of;
-};
-
-/// NOTE: under the "selective" adversary this intentionally FAILS the
-/// termination property — that is the point of Appendix A. Callers must
-/// not assert check_termination on such runs.
-RunResult run_hotstuff_demo(const HsConfig& cfg);
+/// Runs through the shared harness (runner/drive.hpp); requires 3f < n.
+/// Named adversary: "selective". NOTE: under it this intentionally FAILS
+/// the termination property — that is the point of Appendix A. Callers
+/// must not assert check_termination on such runs.
+RunResult run_hotstuff_demo(const RunConfig& cfg);
 
 }  // namespace ambb::hs

@@ -126,23 +126,13 @@ std::unique_ptr<Deviation> make_deviation_for_role(const std::string& role,
 
 using SchedAdv = adversary::ScheduledAdversary<Msg>;
 
-/// Schedule fragment shared by all static strategies: the first f nodes
-/// are corrupt from round 0.
-adversary::FaultSchedule corrupt_first_f(std::uint32_t f) {
-  adversary::FaultSchedule s;
-  for (NodeId v = 0; v < f; ++v) {
-    s.corruptions.push_back(adversary::CorruptEvent{0, v});
-  }
-  return s;
-}
-
 /// Static strategy = corrupt-first-f schedule + Deviation-carrying
 /// LinearNodes plugged in through the byzantine-factory override.
 std::unique_ptr<Adversary<Msg>> make_static(
     const Context* ctx, std::uint64_t seed,
     std::function<std::string(std::uint32_t idx)> role_of) {
-  return std::make_unique<SchedAdv>(
-      corrupt_first_f(ctx->f), ctx->n, seed, nullptr,
+  return adversary::make_static_adversary<Msg>(
+      ctx->n, ctx->f, seed,
       [ctx, seed, role_of = std::move(role_of)](NodeId node) {
         return std::make_unique<LinearNode>(
             node, ctx,
@@ -176,27 +166,7 @@ std::unique_ptr<Adversary<Msg>> make_adaptive_erase(const Context* ctx,
 
 std::unique_ptr<Adversary<Msg>> make_adversary(const std::string& spec,
                                                const Context* ctx,
-                                               std::uint64_t seed,
-                                               Round horizon,
-                                               NetPolicy net) {
-  if (spec == "none") return nullptr;
-  if (adversary::is_schedule_spec(spec)) {
-    adversary::ScheduleEnv<Msg> env;
-    env.n = ctx->n;
-    env.f = ctx->f;
-    env.seed = seed;
-    env.horizon = horizon;
-    env.trace = ctx->trace;
-    env.net = net;
-    // No-op Deviation marker: the corrupted-seat replica is behaviourally
-    // honest, but any honest-only invariant in LinearNode must treat it
-    // as Byzantine (it may start from fresh state mid-run).
-    env.honest_factory = [ctx](NodeId node) {
-      return std::make_unique<LinearNode>(node, ctx,
-                                          std::make_unique<Deviation>());
-    };
-    return adversary::make_scheduled_adversary<Msg>(spec, env);
-  }
+                                               std::uint64_t seed) {
   if (spec == "silent" || spec == "equivocate" || spec == "selective" ||
       spec == "flood" || spec == "drop") {
     return make_static(ctx, seed, [spec](std::uint32_t) { return spec; });

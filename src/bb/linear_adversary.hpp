@@ -18,14 +18,16 @@
 //   "adaptive-erase" starts with zero corruptions; corrupts the slot-1
 //                   sender after seeing its proposal and erases the copies
 //                   sent to odd-numbered nodes (after-the-fact removal)
-//   "sched:..."     explicit fault schedule (src/adversary/spec.hpp)
-//   "fuzz[:k]"      seeded random fault schedule (src/adversary/fuzz.hpp)
+//
+// run_linear also accepts "none" and every "sched:..." / "fuzz[:k]"
+// fault schedule (src/adversary/); the driver harness (runner/drive.hpp)
+// builds those, wrapping the generic FaultedActor around honest
+// LinearNodes.
 //
 // All named strategies are expressed on the src/adversary/ primitives: a
 // ScheduledAdversary carries the corruption/erase schedule, and the
 // Deviation-based Byzantine actors plug in via its byzantine-factory
-// override. "sched:"/"fuzz" specs use the generic FaultedActor wrapping
-// around honest LinearNodes instead.
+// override.
 #pragma once
 
 #include <memory>
@@ -35,15 +37,10 @@
 
 namespace ambb::linear {
 
-/// Returns nullptr for "none". Throws CheckError on an unknown spec.
-/// `horizon` is the total number of rounds the driver will run (used by
-/// the "fuzz" schedule generator to place events). `net` is the run's
-/// delay policy: it gates delay/reorder timing faults (rejected under
-/// lockstep) and scales fuzz-generated delays.
+/// A named strategy above (not "none" and not a schedule spec: the
+/// driver harness builds those). Throws CheckError on an unknown spec.
 std::unique_ptr<Adversary<Msg>> make_adversary(const std::string& spec,
                                                const Context* ctx,
-                                               std::uint64_t seed,
-                                               Round horizon,
-                                               NetPolicy net = {});
+                                               std::uint64_t seed);
 
 }  // namespace ambb::linear

@@ -7,6 +7,7 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "crypto/intern.hpp"
+#include "runner/drive.hpp"
 
 namespace ambb::linear {
 
@@ -1021,114 +1022,78 @@ void LinearNode::act(Round r, std::span<const Delivery<Msg>> inbox,
 // Driver
 // ---------------------------------------------------------------------------
 
-RunResult run_linear(const LinearConfig& cfg) {
-  AMBB_CHECK_MSG(cfg.n >= 4, "need at least 4 nodes");
-  AMBB_CHECK_MSG(
-      static_cast<double>(cfg.f) <= (0.5 - cfg.eps) * cfg.n,
-      "Algorithm 4 requires f <= (1/2 - eps) n; got f=" << cfg.f << " n="
-                                                        << cfg.n);
+namespace {
 
-  KeyRegistry registry(cfg.n, cfg.seed);
-  ThresholdScheme th(registry, cfg.n - cfg.f);
-  Graph expander = build_expander(cfg.n, cfg.eps, cfg.seed ^ 0xE0A11DE5ULL);
+/// Algorithm 4 as a drive() family (runner/drive.hpp).
+struct LinearFamily : FamilyDefaults {
+  using Msg = linear::Msg;
+  using Sim = linear::Sim;
+  static constexpr std::uint64_t kInputSalt = 0x17057EEDULL;
+  static constexpr bool kPresize = true;
 
-  CommitLog commits(cfg.n);
-  commits.reserve(cfg.slots);
-  CostLedger ledger(kind_names());
-  ledger.reserve_slots(cfg.slots + 1);
+  static std::vector<std::string> kind_names() { return linear::kind_names(); }
 
+  static void check(const RunConfig& cfg) {
+    AMBB_CHECK_MSG(cfg.n >= 4, "need at least 4 nodes");
+    AMBB_CHECK_MSG(static_cast<double>(cfg.f) <= (0.5 - cfg.eps) * cfg.n,
+                   "Algorithm 4 requires f <= (1/2 - eps) n; got f="
+                       << cfg.f << " n=" << cfg.n);
+  }
+
+  explicit LinearFamily(const RunConfig& cfg)
+      : registry(cfg.n, cfg.seed),
+        th(registry, cfg.n - cfg.f),
+        expander(build_expander(cfg.n, cfg.eps, cfg.seed ^ 0xE0A11DE5ULL)) {
+    ctx.sched = Schedule{cfg.f};
+    ctx.registry = &registry;
+    ctx.th = &th;
+    ctx.expander = &expander;
+    ctx.opts = cfg.opts;
+  }
+
+  CostPolicy cost() const { return CostPolicy{ctx.wire, ctx.sched}; }
+
+  std::unique_ptr<Actor<Msg>> node(NodeId v) const {
+    return std::make_unique<LinearNode>(v, &ctx);
+  }
+
+  /// No-op Deviation marker: the corrupted-seat replica is behaviourally
+  /// honest, but any honest-only invariant in LinearNode must treat it as
+  /// Byzantine (it may start from fresh state mid-run).
+  std::unique_ptr<Actor<Msg>> seat(NodeId v) const {
+    return std::make_unique<LinearNode>(v, &ctx,
+                                        std::make_unique<Deviation>());
+  }
+
+  std::unique_ptr<Adversary<Msg>> named_adversary(const std::string& spec,
+                                                  std::uint64_t seed) const {
+    return make_adversary(spec, &ctx, seed);
+  }
+
+  /// One "epoch" phase event per epoch, naming its leader.
+  void trace_round(Round r, std::uint64_t off, Slot k) const {
+    if (off % Schedule::kRoundsPerEpoch != 0) return;
+    const auto ep = static_cast<Epoch>(off / Schedule::kRoundsPerEpoch);
+    trace::Event ev;
+    ev.kind = trace::EventKind::kEpochPhase;
+    ev.round = r;
+    ev.slot = k;
+    ev.epoch = ep;
+    ev.node = ctx.leader(k, ep);
+    ev.detail = "epoch";
+    trace::emit(ctx.trace, ev);
+  }
+
+  KeyRegistry registry;
+  ThresholdScheme th;
+  Graph expander;
   Context ctx;
-  ctx.n = cfg.n;
-  ctx.f = cfg.f;
-  ctx.wire = WireModel{cfg.n, cfg.kappa_bits, cfg.value_bits};
-  ctx.sched = Schedule{cfg.f};
-  ctx.registry = &registry;
-  ctx.th = &th;
-  ctx.expander = &expander;
-  ctx.commits = &commits;
-  ctx.opts = cfg.opts;
-  const std::uint64_t input_seed = cfg.seed ^ 0x17057EEDULL;
-  if (cfg.input_with_log) {
-    ctx.input_for_slot = [fn = cfg.input_with_log, &commits](Slot s) {
-      return fn(s, commits);
-    };
-  } else if (cfg.input_for_slot) {
-    ctx.input_for_slot = cfg.input_for_slot;
-  } else {
-    ctx.input_for_slot = [input_seed](Slot s) {
-      std::uint64_t x = input_seed + s;
-      return splitmix64(x);
-    };
-  }
-  ctx.sender_of = cfg.sender_of ? cfg.sender_of : [n = cfg.n](Slot s) {
-    return static_cast<NodeId>((s - 1) % n);
-  };
-  Sim sim(cfg.n, cfg.f, &ledger, CostPolicy{ctx.wire, ctx.sched});
-  ctx.trace = cfg.trace;
-  for (NodeId v = 0; v < cfg.n; ++v) {
-    sim.set_actor(v, std::make_unique<LinearNode>(v, &ctx));
-  }
-  const std::uint64_t total_rounds =
-      static_cast<std::uint64_t>(cfg.slots) * ctx.sched.rounds_per_slot();
-  sim.reserve_rounds(total_rounds);
-  const NetPolicy net = make_net_policy(cfg.net, cfg.seed);
-  auto adversary = make_adversary(cfg.adversary, &ctx,
-                                  cfg.seed ^ 0xAD7E25A1ULL, total_rounds, net);
-  SimConfig<Msg> sc;
-  sc.trace = cfg.trace;
-  sc.net = net;
-  sc.adversary = adversary.get();
-  sim.configure(sc);
+};
 
-  for (std::uint64_t i = 0; i < total_rounds; ++i) {
-    if (i % ctx.sched.rounds_per_slot() == 0) {
-      const Slot k = ctx.sched.slot_of(i);
-      trace::Event ev;
-      ev.kind = trace::EventKind::kSlotStart;
-      ev.round = i;
-      ev.slot = k;
-      ev.node = ctx.sender_of(k);
-      trace::emit(cfg.trace, ev);
-    }
-    if (i % Schedule::kRoundsPerEpoch == 0) {
-      const Slot k = ctx.sched.slot_of(i);
-      const Epoch ep = ctx.sched.epoch_of(i);
-      trace::Event ev;
-      ev.kind = trace::EventKind::kEpochPhase;
-      ev.round = i;
-      ev.slot = k;
-      ev.epoch = ep;
-      ev.node = ctx.leader(k, ep);
-      ev.detail = "epoch";
-      trace::emit(cfg.trace, ev);
-    }
-    sim.step();
-    if (cfg.on_round_end) cfg.on_round_end(sim.now() - 1, sim);
-  }
-  if (cfg.inspect) cfg.inspect(sim);
+}  // namespace
 
-  RunResult res;
-  res.n = cfg.n;
-  res.f = cfg.f;
-  res.slots = cfg.slots;
-  res.rounds = sim.now();
-  res.honest_bits = ledger.honest_bits_total();
-  res.adversary_bits = ledger.adversary_bits_total();
-  res.honest_msgs = ledger.honest_msgs_total();
-  res.per_slot_bits = ledger.per_slot();
-  res.kind_names = ledger.kind_names();
-  res.per_kind_bits = ledger.per_kind();
-  res.commits = commits;
-  res.round_stats = sim.round_stats();
-  res.corrupt.resize(cfg.n);
-  for (NodeId v = 0; v < cfg.n; ++v) res.corrupt[v] = sim.is_corrupt(v);
-  res.senders.resize(cfg.slots + 1, kNoNode);
-  res.sender_inputs.resize(cfg.slots + 1, kBotValue);
-  for (Slot s = 1; s <= cfg.slots; ++s) {
-    res.senders[s] = ctx.sender_of(s);
-    res.sender_inputs[s] = ctx.input_for_slot(s);
-  }
-  return res;
+RunResult run_linear(const RunConfig& cfg, const SimHooks<Sim>& hooks) {
+  return drive<LinearFamily>(cfg, hooks);
 }
 
 }  // namespace ambb::linear

@@ -68,6 +68,7 @@
 #include "crypto/threshold.hpp"
 #include "graph/expander.hpp"
 #include "runner/result.hpp"
+#include "runner/run_config.hpp"
 #include "sim/commit_log.hpp"
 #include "sim/net.hpp"
 
@@ -120,26 +121,6 @@ Digest commit_digest(Slot k, Epoch i, Value m);
 Digest accuse_digest(NodeId accused);
 Digest prop_digest(const Msg& prop);
 
-/// Ablation switches (DESIGN.md experiment A1 and the Momose-Ren-style
-/// baseline of Table 1 rows 2-3).
-struct Options {
-  /// Keep accusation state across slots (the paper's amortization). When
-  /// false, all accusation knowledge resets at each slot boundary.
-  bool persistent_accusations = true;
-  /// Use the Query-1/2 + Respond-1/2 dissemination path.
-  bool use_query_path = true;
-  /// Every node multicasts the first commit-proof it receives (the
-  /// always-forward dissemination of quadratic BBs). Gives O(kappa n^2)
-  /// per slot regardless of the adversary.
-  bool always_forward_commit_proof = false;
-
-  static Options paper() { return {}; }
-  /// Momose-Ren-style O(kappa n^2)-per-slot baseline (see DESIGN.md).
-  static Options mr_baseline() { return {false, false, true}; }
-  static Options no_memory() { return {false, true, false}; }
-  static Options no_query() { return {true, false, false}; }
-};
-
 struct Schedule {
   std::uint32_t f = 0;
   static constexpr std::uint32_t kRoundsPerEpoch = 11;
@@ -175,19 +156,12 @@ struct CostPolicy {
 using Sim = Simulation<Msg, CostPolicy>;
 
 /// Read-only execution context shared by all actors of one run.
-struct Context {
-  std::uint32_t n = 0;
-  std::uint32_t f = 0;
-  WireModel wire;
+struct Context : RunContext {
   Schedule sched;
   const KeyRegistry* registry = nullptr;
   const ThresholdScheme* th = nullptr;  ///< threshold t = n - f
   const Graph* expander = nullptr;
-  CommitLog* commits = nullptr;
   Options opts;
-  std::function<Value(Slot)> input_for_slot;
-  std::function<NodeId(Slot)> sender_of;
-  trace::TraceSink* trace = nullptr;  ///< optional event sink, not owned
 
   NodeId leader(Slot k, Epoch i) const {
     return i == 0 ? sender_of(k) : static_cast<NodeId>((i - 1) % n);
@@ -396,37 +370,8 @@ class LinearNode final : public Actor<Msg> {
   BitVec answered_scratch_;
 };
 
-/// Driver configuration for a full multi-shot run.
-struct LinearConfig {
-  std::uint32_t n = 16;
-  std::uint32_t f = 4;
-  Slot slots = 8;
-  std::uint64_t seed = 1;
-  double eps = 0.1;  ///< f must be <= (1/2 - eps) n
-  std::uint32_t kappa_bits = kDefaultKappaBits;
-  std::uint32_t value_bits = kDefaultValueBits;
-  Options opts;
-  std::string adversary = "none";
-  /// Network delay policy (DESIGN.md §16): "lockstep" (default) |
-  /// "bounded:<delta>" | "async[:<cap>]". The run seed is mixed in per
-  /// run (make_net_policy), so the execution stays seed-deterministic.
-  std::string net = "lockstep";
-  /// Optional event sink, not owned (see src/trace/). Attaching a sink
-  /// never changes the run.
-  trace::TraceSink* trace = nullptr;
-  /// Optional overrides; defaults: round-robin sender, hash-like inputs.
-  std::function<Value(Slot)> input_for_slot;
-  /// Causal-input variant (Sequentiality, Definition 2): the sender of
-  /// slot k may derive its input from values committed at slots j < k.
-  /// Must only read slots < k. Takes precedence over input_for_slot.
-  std::function<Value(Slot, const CommitLog&)> input_with_log;
-  std::function<NodeId(Slot)> sender_of;
-  /// Test hooks: called after every simulated round / once before
-  /// teardown, with access to the live simulation (actors included).
-  std::function<void(Round, Sim&)> on_round_end;
-  std::function<void(Sim&)> inspect;
-};
-
-RunResult run_linear(const LinearConfig& cfg);
+/// A full multi-shot run through the shared harness (runner/drive.hpp).
+/// Reads cfg.opts and cfg.input_with_log; requires f <= (1/2 - eps) n.
+RunResult run_linear(const RunConfig& cfg, const SimHooks<Sim>& hooks = {});
 
 }  // namespace ambb::linear

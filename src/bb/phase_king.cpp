@@ -5,7 +5,7 @@
 #include "adversary/scheduled.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
-#include "runner/assemble.hpp"
+#include "runner/drive.hpp"
 
 namespace ambb::pk {
 
@@ -230,117 +230,68 @@ class ConfuseDev final : public Deviation {
   bool confuse() const override { return true; }
 };
 
-class PkAdversary final : public Adversary<Msg> {
- public:
-  PkAdversary(const Context* ctx, std::string role, std::uint64_t seed)
-      : ctx_(ctx), role_(std::move(role)), seed_(seed) {}
+std::unique_ptr<Deviation> make_pk_deviation(const std::string& role) {
+  if (role == "silent") return std::make_unique<SilentDev>();
+  if (role == "equivocate") return std::make_unique<EquivDev>();
+  if (role == "confuse") return std::make_unique<ConfuseDev>();
+  AMBB_CHECK_MSG(false, "unknown pk role " << role);
+}
 
-  std::vector<NodeId> initial_corruptions() override {
-    std::vector<NodeId> out;
-    for (NodeId v = 0; v < ctx_->f; ++v) out.push_back(v);
-    return out;
+/// Phase-king as a drive() family (runner/drive.hpp).
+struct PkFamily : FamilyDefaults {
+  using Msg = pk::Msg;
+  using Sim = pk::Sim;
+  static constexpr bool kInputAvoidsBot = true;
+  static constexpr bool kBudgetAtLeastOne = true;
+
+  static std::vector<std::string> kind_names() { return pk::kind_names(); }
+
+  static void check(const RunConfig& cfg) {
+    AMBB_CHECK_MSG(3 * cfg.f < cfg.n, "phase king requires f < n/3");
   }
 
-  std::unique_ptr<Actor<Msg>> actor_for(NodeId node) override {
-    std::unique_ptr<Deviation> dev;
-    if (role_ == "silent") dev = std::make_unique<SilentDev>();
-    else if (role_ == "equivocate") dev = std::make_unique<EquivDev>();
-    else if (role_ == "confuse") dev = std::make_unique<ConfuseDev>();
-    else AMBB_CHECK_MSG(false, "unknown pk role " << role_);
-    return std::make_unique<PkNode>(node, ctx_, std::move(dev), seed_);
+  explicit PkFamily(const RunConfig& cfg) : run_seed(cfg.seed) {
+    ctx.sched = Schedule{2 + 3ull * (cfg.f + 1)};
   }
 
- private:
-  const Context* ctx_;
-  std::string role_;
-  std::uint64_t seed_;
+  CostPolicy cost() const { return CostPolicy{ctx.wire, ctx.sched}; }
+
+  std::unique_ptr<Actor<Msg>> node(NodeId v) const {
+    return std::make_unique<PkNode>(v, &ctx, nullptr, run_seed);
+  }
+  std::unique_ptr<Actor<Msg>> seat(NodeId v) const { return node(v); }
+
+  /// "silent" | "equivocate" | "confuse" on the first f nodes.
+  std::unique_ptr<Adversary<Msg>> named_adversary(const std::string& spec,
+                                                  std::uint64_t seed) const {
+    return adversary::make_static_adversary<Msg>(
+        ctx.n, ctx.f, seed, [c = &ctx, spec, s = run_seed](NodeId v) {
+          return std::make_unique<PkNode>(v, c, make_pk_deviation(spec), s);
+        });
+  }
+
+  /// A "king-phase" event at the start of each phase p, naming king p.
+  void trace_round(Round r, std::uint64_t off, Slot k) const {
+    if (off == 0 || (off - 1) % 3 != 0 || (off - 1) / 3 > ctx.f) return;
+    const auto p = static_cast<std::uint32_t>((off - 1) / 3);
+    trace::Event ev;
+    ev.kind = trace::EventKind::kEpochPhase;
+    ev.round = r;
+    ev.slot = k;
+    ev.epoch = p;
+    ev.node = static_cast<NodeId>(p);
+    ev.detail = "king-phase";
+    trace::emit(ctx.trace, ev);
+  }
+
+  std::uint64_t run_seed;  ///< each PkNode's tie-break stream
+  Context ctx;
 };
 
 }  // namespace
 
-RunResult run_phase_king(const PkConfig& cfg) {
-  AMBB_CHECK_MSG(3 * cfg.f < cfg.n, "phase king requires f < n/3");
-
-  CommitLog commits(cfg.n);
-  commits.reserve(cfg.slots);
-  CostLedger ledger(kind_names());
-
-  Context ctx;
-  ctx.n = cfg.n;
-  ctx.f = cfg.f;
-  ctx.wire = WireModel{cfg.n, cfg.kappa_bits, cfg.value_bits};
-  ctx.sched = Schedule{cfg.f};
-  ctx.commits = &commits;
-  const std::uint64_t input_seed = cfg.seed ^ 0x5EEDF00DULL;
-  ctx.input_for_slot = cfg.input_for_slot
-                           ? cfg.input_for_slot
-                           : [input_seed](Slot s) {
-                               std::uint64_t x = input_seed + s;
-                               const Value v = splitmix64(x);
-                               return v == kBotValue ? Value{0} : v;
-                             };
-  ctx.sender_of = cfg.sender_of ? cfg.sender_of : [n = cfg.n](Slot s) {
-    return static_cast<NodeId>((s - 1) % n);
-  };
-  Sim sim(cfg.n, cfg.f == 0 ? 1 : cfg.f, &ledger,
-          CostPolicy{ctx.wire, ctx.sched});
-  ctx.trace = cfg.trace;
-  for (NodeId v = 0; v < cfg.n; ++v) {
-    sim.set_actor(v, std::make_unique<PkNode>(v, &ctx, nullptr, cfg.seed));
-  }
-  const std::uint64_t total_rounds =
-      static_cast<std::uint64_t>(cfg.slots) * ctx.sched.rounds_per_slot();
-  const NetPolicy net = make_net_policy(cfg.net, cfg.seed);
-  std::unique_ptr<Adversary<Msg>> adversary;
-  if (adversary::is_schedule_spec(cfg.adversary)) {
-    adversary::ScheduleEnv<Msg> env;
-    env.n = cfg.n;
-    env.f = cfg.f;
-    env.seed = cfg.seed ^ 0xAD7E25A1ULL;
-    env.horizon = total_rounds;
-    env.trace = cfg.trace;
-    env.net = net;
-    env.honest_factory = [ctxp = &ctx, seed = cfg.seed](NodeId v) {
-      return std::make_unique<PkNode>(v, ctxp, nullptr, seed);
-    };
-    adversary = adversary::make_scheduled_adversary<Msg>(cfg.adversary, env);
-  } else if (cfg.adversary != "none") {
-    adversary = std::make_unique<PkAdversary>(&ctx, cfg.adversary, cfg.seed);
-  }
-  SimConfig<Msg> sc;
-  sc.trace = cfg.trace;
-  sc.net = net;
-  sc.adversary = adversary.get();
-  sim.configure(sc);
-  for (std::uint64_t i = 0; i < total_rounds; ++i) {
-    const std::uint32_t off = ctx.sched.offset_of(i);
-    const Slot k = ctx.sched.slot_of(i);
-    if (off == 0) {
-      trace::Event ev;
-      ev.kind = trace::EventKind::kSlotStart;
-      ev.round = i;
-      ev.slot = k;
-      ev.node = ctx.sender_of(k);
-      trace::emit(cfg.trace, ev);
-    } else if ((off - 1) % 3 == 0 && (off - 1) / 3 <= cfg.f) {
-      // Start of phase p; the king of phase p is node p.
-      const std::uint32_t p = (off - 1) / 3;
-      trace::Event ev;
-      ev.kind = trace::EventKind::kEpochPhase;
-      ev.round = i;
-      ev.slot = k;
-      ev.epoch = p;
-      ev.node = static_cast<NodeId>(p);
-      ev.detail = "king-phase";
-      trace::emit(cfg.trace, ev);
-    }
-    sim.step();
-  }
-
-  return assemble_result(
-      cfg.n, cfg.f, cfg.slots, sim.now(), ledger, commits, sim.round_stats(),
-      [&sim](NodeId v) { return sim.is_corrupt(v); }, ctx.sender_of,
-      ctx.input_for_slot);
+RunResult run_phase_king(const RunConfig& cfg) {
+  return drive<PkFamily>(cfg);
 }
 
 }  // namespace ambb::pk

@@ -23,7 +23,6 @@
 // amortized — is unaffected.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,6 +30,7 @@
 #include "common/types.hpp"
 #include "common/wire.hpp"
 #include "runner/result.hpp"
+#include "runner/run_config.hpp"
 #include "sim/commit_log.hpp"
 #include "sim/net.hpp"
 
@@ -48,26 +48,11 @@ struct Msg {
   Value value = 0;
 };
 
-struct Schedule {
-  std::uint32_t f = 0;
-  std::uint64_t rounds_per_slot() const { return 2 + 3ull * (f + 1); }
-  Slot slot_of(Round r) const {
-    return static_cast<Slot>(r / rounds_per_slot()) + 1;
-  }
-  std::uint32_t offset_of(Round r) const {
-    return static_cast<std::uint32_t>(r % rounds_per_slot());
-  }
-};
+/// 2 + 3(f + 1) rounds per slot (send, f + 1 phases, final round).
+using Schedule = SlotSchedule;
 
-struct Context {
-  std::uint32_t n = 0;
-  std::uint32_t f = 0;
-  WireModel wire;
+struct Context : RunContext {
   Schedule sched;
-  CommitLog* commits = nullptr;
-  std::function<Value(Slot)> input_for_slot;
-  std::function<NodeId(Slot)> sender_of;
-  trace::TraceSink* trace = nullptr;  ///< optional event sink, not owned
 };
 
 std::uint64_t size_bits(const Msg& m, const WireModel& wire);
@@ -88,23 +73,9 @@ struct CostPolicy {
 
 using Sim = Simulation<Msg, CostPolicy>;
 
-struct PkConfig {
-  std::uint32_t n = 10;
-  std::uint32_t f = 3;  ///< must satisfy 3f < n
-  Slot slots = 4;
-  std::uint64_t seed = 1;
-  std::uint32_t kappa_bits = kDefaultKappaBits;
-  std::uint32_t value_bits = kDefaultValueBits;
-  std::string adversary = "none";  // none | silent | equivocate | confuse
-  /// Network delay policy (DESIGN.md §16): "lockstep" (default) |
-  /// "bounded:<delta>" | "async[:<cap>]".
-  std::string net = "lockstep";
-  /// Optional event sink, not owned (see src/trace/).
-  trace::TraceSink* trace = nullptr;
-  std::function<Value(Slot)> input_for_slot;
-  std::function<NodeId(Slot)> sender_of;
-};
-
-RunResult run_phase_king(const PkConfig& cfg);
+/// A full multi-shot run through the shared harness (runner/drive.hpp);
+/// requires 3f < n. Named adversaries: "silent", "equivocate",
+/// "confuse".
+RunResult run_phase_king(const RunConfig& cfg);
 
 }  // namespace ambb::pk

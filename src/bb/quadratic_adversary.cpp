@@ -166,38 +166,13 @@ std::unique_ptr<Deviation> make_quad_deviation(const std::string& role) {
 
 std::unique_ptr<Adversary<Msg>> make_quad_adversary(const std::string& spec,
                                                     const Context* ctx,
-                                                    std::uint64_t seed,
-                                                    Round horizon,
-                                                    NetPolicy net) {
-  if (spec == "none") return nullptr;
-  if (adversary::is_schedule_spec(spec)) {
-    adversary::ScheduleEnv<Msg> env;
-    env.n = ctx->n;
-    env.f = ctx->f;
-    env.seed = seed;
-    env.horizon = horizon;
-    env.trace = ctx->trace;
-    env.net = net;
-    // The corrupted-seat replica runs honest logic but carries a no-op
-    // Deviation marker: honest-only invariant CHECKs (TrustCast's
-    // vote-or-value guarantee) must not fire for a Byzantine node
-    // replaying honest logic from mid-run fresh state.
-    env.honest_factory = [ctx](NodeId node) {
-      return std::make_unique<QuadNode>(node, ctx,
-                                        std::make_unique<Deviation>());
-    };
-    return adversary::make_scheduled_adversary<Msg>(spec, env);
-  }
+                                                    std::uint64_t seed) {
   if (spec == "silent" || spec == "equivocate" || spec == "conspiracy" ||
       spec == "lateprop" || spec == "floodaccuse" || spec == "framer") {
     // Static strategy = corrupt-first-f schedule + Deviation actors via
     // the byzantine-factory override.
-    adversary::FaultSchedule s;
-    for (NodeId v = 0; v < ctx->f; ++v) {
-      s.corruptions.push_back(adversary::CorruptEvent{0, v});
-    }
-    return std::make_unique<adversary::ScheduledAdversary<Msg>>(
-        std::move(s), ctx->n, seed, nullptr, [ctx, spec](NodeId node) {
+    return adversary::make_static_adversary<Msg>(
+        ctx->n, ctx->f, seed, [ctx, spec](NodeId node) {
           return std::make_unique<QuadNode>(node, ctx,
                                             make_quad_deviation(spec));
         });

@@ -1,7 +1,7 @@
 #include "bb/quadratic_bb.hpp"
 
 #include "common/check.hpp"
-#include "common/rng.hpp"
+#include "runner/drive.hpp"
 
 namespace ambb::quad {
 
@@ -169,104 +169,72 @@ void QuadNode::on_round(Round r, std::span<const Delivery<Msg>> inbox,
 // Driver
 // ---------------------------------------------------------------------------
 
-RunResult run_quadratic(const QuadConfig& cfg) {
-  AMBB_CHECK_MSG(cfg.n >= 3, "need at least 3 nodes");
-  AMBB_CHECK_MSG(cfg.f < cfg.n, "Algorithm 5.2 requires f < n");
+namespace {
 
-  KeyRegistry registry(cfg.n, cfg.seed);
-  CommitLog commits(cfg.n);
-  commits.reserve(cfg.slots);
-  CostLedger ledger(kind_names());
+/// Algorithm 5.2 as a drive() family (runner/drive.hpp).
+struct QuadFamily : FamilyDefaults {
+  using Msg = quad::Msg;
+  using Sim = quad::Sim;
 
-  Context ctx;
-  ctx.n = cfg.n;
-  ctx.f = cfg.f;
-  ctx.wire = WireModel{cfg.n, cfg.kappa_bits, cfg.value_bits};
-  ctx.sched = Schedule{cfg.n, cfg.f};
-  ctx.registry = &registry;
-  ctx.commits = &commits;
-  const std::uint64_t input_seed = cfg.seed ^ 0x5EEDF00DULL;
-  ctx.input_for_slot = cfg.input_for_slot
-                           ? cfg.input_for_slot
-                           : [input_seed](Slot s) {
-                               std::uint64_t x = input_seed + s;
-                               return splitmix64(x);
-                             };
-  ctx.sender_of = cfg.sender_of ? cfg.sender_of : [n = cfg.n](Slot s) {
-    return static_cast<NodeId>((s - 1) % n);
-  };
-  Sim sim(cfg.n, cfg.f, &ledger, CostPolicy{ctx.wire, ctx.sched});
-  ctx.trace = cfg.trace;
-  for (NodeId v = 0; v < cfg.n; ++v) {
-    sim.set_actor(v, std::make_unique<QuadNode>(v, &ctx));
+  static std::vector<std::string> kind_names() { return quad::kind_names(); }
+
+  static void check(const RunConfig& cfg) {
+    AMBB_CHECK_MSG(cfg.n >= 3, "need at least 3 nodes");
+    AMBB_CHECK_MSG(cfg.f < cfg.n, "Algorithm 5.2 requires f < n");
   }
-  const std::uint64_t total_rounds =
-      static_cast<std::uint64_t>(cfg.slots) * ctx.sched.rounds_per_slot();
-  const NetPolicy net = make_net_policy(cfg.net, cfg.seed);
-  auto adversary =
-      make_quad_adversary(cfg.adversary, &ctx, cfg.seed ^ 0xAD7E25A1ULL,
-                          total_rounds, net);
-  SimConfig<Msg> sc;
-  sc.trace = cfg.trace;
-  sc.net = net;
-  sc.adversary = adversary.get();
-  sim.configure(sc);
 
-  for (std::uint64_t i = 0; i < total_rounds; ++i) {
-    const std::uint32_t off = ctx.sched.offset_of(i);
-    const Slot k = ctx.sched.slot_of(i);
+  explicit QuadFamily(const RunConfig& cfg) : registry(cfg.n, cfg.seed) {
+    ctx.sched = Schedule{cfg.n, cfg.f};
+    ctx.registry = &registry;
+  }
+
+  CostPolicy cost() const { return CostPolicy{ctx.wire, ctx.sched}; }
+
+  std::unique_ptr<Actor<Msg>> node(NodeId v) const {
+    return std::make_unique<QuadNode>(v, &ctx);
+  }
+
+  /// The corrupted-seat replica runs honest logic but carries a no-op
+  /// Deviation marker: honest-only invariant CHECKs (TrustCast's
+  /// vote-or-value guarantee) must not fire for a Byzantine node
+  /// replaying honest logic from mid-run fresh state.
+  std::unique_ptr<Actor<Msg>> seat(NodeId v) const {
+    return std::make_unique<QuadNode>(v, &ctx, std::make_unique<Deviation>());
+  }
+
+  std::unique_ptr<Adversary<Msg>> named_adversary(const std::string& spec,
+                                                  std::uint64_t seed) const {
+    return make_quad_adversary(spec, &ctx, seed);
+  }
+
+  /// Phase events: propose (round 0, naming the sender), trustcast
+  /// (round 1) and dolev-strong (round n+1).
+  void trace_round(Round r, std::uint64_t off, Slot k) const {
+    trace::Event ev;
+    ev.kind = trace::EventKind::kEpochPhase;
+    ev.round = r;
+    ev.slot = k;
     if (off == 0) {
-      trace::Event ev;
-      ev.kind = trace::EventKind::kSlotStart;
-      ev.round = i;
-      ev.slot = k;
       ev.node = ctx.sender_of(k);
-      trace::emit(cfg.trace, ev);
-      ev.kind = trace::EventKind::kEpochPhase;
       ev.detail = "propose";
-      trace::emit(cfg.trace, ev);
     } else if (off == 1) {
-      trace::Event ev;
-      ev.kind = trace::EventKind::kEpochPhase;
-      ev.round = i;
-      ev.slot = k;
       ev.detail = "trustcast";
-      trace::emit(cfg.trace, ev);
-    } else if (off == cfg.n + 1) {
-      trace::Event ev;
-      ev.kind = trace::EventKind::kEpochPhase;
-      ev.round = i;
-      ev.slot = k;
+    } else if (off == ctx.n + 1) {
       ev.detail = "dolev-strong";
-      trace::emit(cfg.trace, ev);
+    } else {
+      return;
     }
-    sim.step();
-    if (cfg.on_round_end) cfg.on_round_end(sim.now() - 1, sim);
+    trace::emit(ctx.trace, ev);
   }
-  if (cfg.inspect) cfg.inspect(sim);
 
-  RunResult res;
-  res.n = cfg.n;
-  res.f = cfg.f;
-  res.slots = cfg.slots;
-  res.rounds = sim.now();
-  res.honest_bits = ledger.honest_bits_total();
-  res.adversary_bits = ledger.adversary_bits_total();
-  res.honest_msgs = ledger.honest_msgs_total();
-  res.per_slot_bits = ledger.per_slot();
-  res.kind_names = ledger.kind_names();
-  res.per_kind_bits = ledger.per_kind();
-  res.commits = commits;
-  res.round_stats = sim.round_stats();
-  res.corrupt.resize(cfg.n);
-  for (NodeId v = 0; v < cfg.n; ++v) res.corrupt[v] = sim.is_corrupt(v);
-  res.senders.resize(cfg.slots + 1, kNoNode);
-  res.sender_inputs.resize(cfg.slots + 1, kBotValue);
-  for (Slot s = 1; s <= cfg.slots; ++s) {
-    res.senders[s] = ctx.sender_of(s);
-    res.sender_inputs[s] = ctx.input_for_slot(s);
-  }
-  return res;
+  KeyRegistry registry;
+  Context ctx;
+};
+
+}  // namespace
+
+RunResult run_quadratic(const RunConfig& cfg, const SimHooks<Sim>& hooks) {
+  return drive<QuadFamily>(cfg, hooks);
 }
 
 }  // namespace ambb::quad

@@ -107,39 +107,20 @@ class QuadNode final : public Actor<Msg> {
   Slot cur_slot_ = 0;
 };
 
-struct QuadConfig {
-  std::uint32_t n = 8;
-  std::uint32_t f = 5;  ///< any f < n
-  Slot slots = 8;
-  std::uint64_t seed = 1;
-  std::uint32_t kappa_bits = kDefaultKappaBits;
-  std::uint32_t value_bits = kDefaultValueBits;
-  std::string adversary = "none";
-  /// Network delay policy (DESIGN.md §16): "lockstep" (default) |
-  /// "bounded:<delta>" | "async[:<cap>]".
-  std::string net = "lockstep";
-  /// Optional event sink, not owned (see src/trace/).
-  trace::TraceSink* trace = nullptr;
-  std::function<Value(Slot)> input_for_slot;
-  std::function<NodeId(Slot)> sender_of;
-  /// Test hooks (see linear::LinearConfig).
-  std::function<void(Round, Sim&)> on_round_end;
-  std::function<void(Sim&)> inspect;
-};
+/// A full multi-shot run through the shared harness (runner/drive.hpp);
+/// any f < n.
+RunResult run_quadratic(const RunConfig& cfg, const SimHooks<Sim>& hooks = {});
 
-RunResult run_quadratic(const QuadConfig& cfg);
-
-/// Adversary specs: "none", "silent", "equivocate", "conspiracy"
-/// (sender serves only its corrupt colluders, who forward at the last
-/// moment), "lateprop" (sender stays silent for a few rounds, then
-/// multicasts), "floodaccuse" (corrupt nodes accuse everyone, stressing
-/// the O(kappa n^4) graph-maintenance bound), plus the generic
-/// "sched:..." / "fuzz[:k]" fault schedules of src/adversary/.
-/// `horizon` is the total round count of the run (fuzz event placement).
+/// Named adversary specs: "silent", "equivocate", "conspiracy" (sender
+/// serves only its corrupt colluders, who forward at the last moment),
+/// "lateprop" (sender stays silent for a few rounds, then multicasts),
+/// "floodaccuse" (corrupt nodes accuse everyone, stressing the
+/// O(kappa n^4) graph-maintenance bound) and "framer". run_quadratic also
+/// accepts "none" and the generic "sched:..." / "fuzz[:k]" fault
+/// schedules of src/adversary/, which the harness builds. Throws
+/// CheckError on an unknown spec.
 std::unique_ptr<Adversary<Msg>> make_quad_adversary(const std::string& spec,
                                                     const Context* ctx,
-                                                    std::uint64_t seed,
-                                                    Round horizon,
-                                                    NetPolicy net = {});
+                                                    std::uint64_t seed);
 
 }  // namespace ambb::quad

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -29,6 +28,7 @@
 #include "common/wire.hpp"
 #include "crypto/signer.hpp"
 #include "graph/trust_graph.hpp"
+#include "runner/run_config.hpp"
 #include "sim/commit_log.hpp"
 #include "sim/net.hpp"
 
@@ -74,16 +74,9 @@ struct Schedule {
   }
 };
 
-struct Context {
-  std::uint32_t n = 0;
-  std::uint32_t f = 0;
-  WireModel wire;
+struct Context : RunContext {
   Schedule sched;
   const KeyRegistry* registry = nullptr;
-  CommitLog* commits = nullptr;
-  std::function<Value(Slot)> input_for_slot;
-  std::function<NodeId(Slot)> sender_of;
-  trace::TraceSink* trace = nullptr;  ///< optional event sink, not owned
 };
 
 /// Accounting policy, evaluated once per traffic record.

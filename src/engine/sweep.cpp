@@ -66,6 +66,9 @@ std::vector<SweepJob> expand(const SweepSpec& spec) {
                  "sweep '" << spec.name << "': seed range is backwards");
   AMBB_CHECK_MSG(spec.repetitions >= 1,
                  "sweep '" << spec.name << "': reps must be >= 1");
+  for (Slot L : spec.slots_list) {
+    AMBB_CHECK_MSG(L >= 1, "sweep '" << spec.name << "': slots must be >= 1");
+  }
   for (const auto& adv : spec.adversaries) {
     AMBB_CHECK_MSG(accepts_adversary(info, adv),
                    "sweep '" << spec.name << "': protocol '" << spec.protocol
@@ -360,10 +363,15 @@ std::vector<SweepSpec> parse_spec(const std::string& text) {
     } else if (key == "slots") {
       cur->slots_list.clear();
       for (std::size_t i = 1; i < toks.size(); ++i) {
-        cur->slots_list.push_back(parse_num<Slot>(toks[i], lineno));
+        const auto L = parse_num<Slot>(toks[i], lineno);
+        AMBB_CHECK_MSG(L >= 1, "spec line " << lineno
+                                            << ": slots must be >= 1");
+        cur->slots_list.push_back(L);
       }
     } else if (key == "slots-per-n") {
       cur->slots_per_n = parse_num<std::uint32_t>(toks[1], lineno);
+      AMBB_CHECK_MSG(cur->slots_per_n >= 1,
+                     "spec line " << lineno << ": slots-per-n must be >= 1");
     } else if (key == "adversary") {
       cur->adversaries.assign(toks.begin() + 1, toks.end());
     } else if (key == "seeds") {

@@ -14,6 +14,7 @@
 #include "common/rng.hpp"
 #include "crypto/intern.hpp"
 #include "crypto/rs_code.hpp"
+#include "runner/drive.hpp"
 #include "sim/cost.hpp"
 
 namespace ambb::ext {
@@ -134,164 +135,129 @@ void ExtNode::on_round(Round r, std::span<const Delivery<Msg>> inbox,
 
 namespace {
 
-/// The base phase run uniformly over the four supported families.
-RunResult run_base(const ExtConfig& cfg, Slot base_slots,
+std::size_t payload_len_of(const RunConfig& cfg) {
+  return cfg.payload_bytes != 0
+             ? cfg.payload_bytes
+             : static_cast<std::size_t>(cfg.kappa_bits / 8);
+}
+
+/// The dispersal phase as a drive() family (runner/drive.hpp): 2 rounds
+/// per slot plus one drain round, its own adversary salt, and no named
+/// adversaries. The constructor encodes every slot's payload into the
+/// caller's `enc` and sizes the caller's `states`: both outlive the phase.
+struct ExtFamily : FamilyDefaults {
+  using Msg = ext::Msg;
+  using Sim = ext::Sim;
+  static constexpr std::uint64_t kAdversarySalt = 0xE87E9510ULL;
+  /// The last slot's echoes are sent in round 2*slots - 1 and delivered
+  /// at the start of round 2*slots.
+  static constexpr Round kDrainRounds = 1;
+
+  static std::vector<std::string> kind_names() { return ext::kind_names(); }
+
+  static void check(const RunConfig& cfg) {
+    AMBB_CHECK_MSG(cfg.n >= 2 && 2 * cfg.f < cfg.n,
+                   "extension protocol needs f <= (n-1)/2, got n="
+                       << cfg.n << " f=" << cfg.f);
+    AMBB_CHECK_MSG(cfg.n <= 256, "RS code caps n at 256");
+    AMBB_CHECK_MSG(
+        cfg.adversary == "none" || adversary::is_schedule_spec(cfg.adversary),
+        "extension rows accept only 'none' or schedule specs, got '"
+            << cfg.adversary << "'");
+  }
+
+  ExtFamily(const RunConfig& cfg, std::vector<SlotEncoding>* enc,
+            std::vector<NodeState>* states) {
+    ctx.sched = Schedule{2};
+    ctx.k = cfg.n - 2 * cfg.f;
+    ctx.slots = cfg.slots;
+    ctx.payload_len = payload_len_of(cfg);
+    ctx.chunk_len = rs::chunk_bytes(ctx.payload_len, ctx.k);
+    // Deterministic pseudo-random payloads; the committed Value is the
+    // payload's 64-bit fingerprint (the in-memory carrier convention).
+    enc->assign(cfg.slots + 1, SlotEncoding{});
+    std::uint64_t pay_seed = cfg.seed ^ 0x10adBEEFULL;
+    for (Slot s = 1; s <= cfg.slots; ++s) {
+      SlotEncoding& e = (*enc)[s];
+      e.payload.resize(ctx.payload_len);
+      for (std::size_t i = 0; i < e.payload.size(); i += 8) {
+        const std::uint64_t w = splitmix64(pay_seed);
+        for (std::size_t b = 0; b < 8 && i + b < e.payload.size(); ++b) {
+          e.payload[i + b] = static_cast<std::uint8_t>(w >> (8 * b));
+        }
+      }
+      e.chunks = rs::encode(e.payload, cfg.n, ctx.k);
+      std::vector<Digest> leaves(cfg.n);
+      for (std::uint32_t j = 0; j < cfg.n; ++j) {
+        leaves[j] = merkle::leaf_hash(j, e.chunks[j]);
+      }
+      const merkle::Tree tree = merkle::Tree::build(leaves);
+      e.root = tree.root();
+      e.paths.resize(cfg.n);
+      for (std::uint32_t j = 0; j < cfg.n; ++j) e.paths[j] = tree.prove(j);
+    }
+    ctx.enc = enc;
+    states->assign(cfg.n, NodeState{});
+    for (NodeState& st : *states) {
+      st.echoed_fp.assign(cfg.slots + 1, kBotValue);
+      st.store.resize(cfg.slots + 1);
+    }
+    ctx.states = states;
+  }
+
+  CostPolicy cost() const { return CostPolicy{ctx.wire}; }
+
+  std::unique_ptr<Actor<Msg>> node(NodeId v) const {
+    return std::make_unique<ExtNode>(v, &ctx);
+  }
+  std::unique_ptr<Actor<Msg>> seat(NodeId v) const { return node(v); }
+
+  /// Unreachable: check() admits only "none" and schedule specs.
+  std::unique_ptr<Adversary<Msg>> named_adversary(const std::string&,
+                                                  std::uint64_t) const {
+    return nullptr;
+  }
+
+  Context ctx;
+};
+
+/// The base phase, run over any of the four supported families.
+RunResult run_base(const RunConfig& cfg, const std::string& base,
+                   Slot base_slots,
                    const std::function<Value(Slot)>& input_for_slot,
                    const std::function<NodeId(Slot)>& sender_of) {
-  if (cfg.base == "linear") {
-    linear::LinearConfig b;
-    b.n = cfg.n;
-    b.f = cfg.f;
-    b.slots = base_slots;
-    b.seed = cfg.seed ^ 0xBA5EBB01ULL;
-    b.eps = cfg.eps;
-    b.kappa_bits = cfg.kappa_bits;
-    b.value_bits = cfg.kappa_bits;  // digests and digest-fp votes
-    b.opts = linear::Options::paper();
-    b.adversary = "none";
-    b.net = cfg.net;
-    b.trace = cfg.trace;
-    b.input_for_slot = input_for_slot;
-    b.sender_of = sender_of;
-    return linear::run_linear(b);
-  }
-  if (cfg.base == "quadratic") {
-    quad::QuadConfig b;
-    b.n = cfg.n;
-    b.f = cfg.f;
-    b.slots = base_slots;
-    b.seed = cfg.seed ^ 0xBA5EBB01ULL;
-    b.kappa_bits = cfg.kappa_bits;
-    b.value_bits = cfg.kappa_bits;
-    b.adversary = "none";
-    b.net = cfg.net;
-    b.trace = cfg.trace;
-    b.input_for_slot = input_for_slot;
-    b.sender_of = sender_of;
-    return quad::run_quadratic(b);
-  }
-  if (cfg.base == "dolev-strong" || cfg.base == "dolev-strong-msig") {
-    ds::DsConfig b;
-    b.n = cfg.n;
-    b.f = cfg.f;
-    b.slots = base_slots;
-    b.seed = cfg.seed ^ 0xBA5EBB01ULL;
-    b.use_multisig = cfg.base == "dolev-strong-msig";
-    b.kappa_bits = cfg.kappa_bits;
-    b.value_bits = cfg.kappa_bits;
-    b.adversary = "none";
-    b.net = cfg.net;
-    b.trace = cfg.trace;
-    b.input_for_slot = input_for_slot;
-    b.sender_of = sender_of;
+  RunConfig b = cfg;
+  b.slots = base_slots;
+  b.seed = cfg.seed ^ 0xBA5EBB01ULL;
+  b.value_bits = cfg.kappa_bits;  // digests and digest-fp votes
+  b.adversary = "none";
+  b.input_for_slot = input_for_slot;
+  b.input_with_log = nullptr;
+  b.sender_of = sender_of;
+  b.opts = linear::Options::paper();
+  b.use_multisig = base == "dolev-strong-msig";
+  if (base == "linear") return linear::run_linear(b);
+  if (base == "quadratic") return quad::run_quadratic(b);
+  if (base == "dolev-strong" || base == "dolev-strong-msig") {
     return ds::run_dolev_strong(b);
   }
-  AMBB_CHECK_MSG(false, "unknown extension base '" << cfg.base << "'");
+  AMBB_CHECK_MSG(false, "unknown extension base '" << base << "'");
   std::abort();  // AMBB_CHECK_MSG throws; see registry.cpp note
 }
 
 }  // namespace
 
-RunResult run_extension(const ExtConfig& cfg) {
-  AMBB_CHECK_MSG(cfg.n >= 2 && 2 * cfg.f < cfg.n,
-                 "extension protocol needs f <= (n-1)/2, got n="
-                     << cfg.n << " f=" << cfg.f);
-  AMBB_CHECK_MSG(cfg.n <= 256, "RS code caps n at 256");
-  AMBB_CHECK_MSG(
-      cfg.adversary == "none" || adversary::is_schedule_spec(cfg.adversary),
-      "extension rows accept only 'none' or schedule specs, got '"
-          << cfg.adversary << "'");
-
-  Context ctx;
-  ctx.n = cfg.n;
-  ctx.f = cfg.f;
-  ctx.k = cfg.n - 2 * cfg.f;
-  ctx.slots = cfg.slots;
-  ctx.payload_len = cfg.payload_bytes != 0
-                        ? cfg.payload_bytes
-                        : static_cast<std::size_t>(cfg.kappa_bits / 8);
-  ctx.chunk_len = rs::chunk_bytes(ctx.payload_len, ctx.k);
-  ctx.wire = WireModel{cfg.n, cfg.kappa_bits, cfg.kappa_bits};
-  ctx.sender_of = [n = cfg.n](Slot s) {
-    return static_cast<NodeId>((s - 1) % n);
-  };
-  ctx.trace = cfg.trace;
-
-  // Deterministic pseudo-random payloads; the committed Value is the
-  // payload's 64-bit fingerprint (the in-memory carrier convention).
-  std::vector<SlotEncoding> enc(cfg.slots + 1);
-  std::uint64_t pay_seed = cfg.seed ^ 0x10adBEEFULL;
-  for (Slot s = 1; s <= cfg.slots; ++s) {
-    SlotEncoding& e = enc[s];
-    e.payload.resize(ctx.payload_len);
-    for (std::size_t i = 0; i < e.payload.size(); i += 8) {
-      const std::uint64_t w = splitmix64(pay_seed);
-      for (std::size_t b = 0; b < 8 && i + b < e.payload.size(); ++b) {
-        e.payload[i + b] = static_cast<std::uint8_t>(w >> (8 * b));
-      }
-    }
-    e.chunks = rs::encode(e.payload, cfg.n, ctx.k);
-    std::vector<Digest> leaves(cfg.n);
-    for (std::uint32_t j = 0; j < cfg.n; ++j) {
-      leaves[j] = merkle::leaf_hash(j, e.chunks[j]);
-    }
-    const merkle::Tree tree = merkle::Tree::build(leaves);
-    e.root = tree.root();
-    e.paths.resize(cfg.n);
-    for (std::uint32_t j = 0; j < cfg.n; ++j) e.paths[j] = tree.prove(j);
-  }
-  ctx.enc = &enc;
-
-  std::vector<NodeState> states(cfg.n);
-  for (NodeState& st : states) {
-    st.echoed_fp.assign(cfg.slots + 1, kBotValue);
-    st.store.resize(cfg.slots + 1);
-  }
-  ctx.states = &states;
-
+RunResult run_extension(const RunConfig& cfg, const std::string& family) {
   // ---- Phase 1: chunk dispersal (2 lock-step rounds per slot). ----
-  CostLedger ledger(kind_names());
-  Sim sim(cfg.n, cfg.f, &ledger, CostPolicy{ctx.wire});
-  ctx.trace = cfg.trace;
-  for (NodeId v = 0; v < cfg.n; ++v) {
-    sim.set_actor(v, std::make_unique<ExtNode>(v, &ctx));
-  }
-  // One extra drain round: the last slot's echoes are sent in round
-  // 2*slots - 1 and delivered at the start of round 2*slots.
-  const std::uint64_t disp_rounds =
-      static_cast<std::uint64_t>(cfg.slots) * ctx.sched.rounds_per_slot() + 1;
-  const NetPolicy net = make_net_policy(cfg.net, cfg.seed);
-  std::unique_ptr<Adversary<Msg>> adversary;
-  if (adversary::is_schedule_spec(cfg.adversary)) {
-    adversary::ScheduleEnv<Msg> env;
-    env.n = cfg.n;
-    env.f = cfg.f;
-    env.seed = cfg.seed ^ 0xE87E9510ULL;
-    env.horizon = disp_rounds;
-    env.trace = cfg.trace;
-    env.net = net;
-    env.honest_factory = [ctxp = &ctx](NodeId v) {
-      return std::make_unique<ExtNode>(v, ctxp);
-    };
-    adversary = adversary::make_scheduled_adversary<Msg>(cfg.adversary, env);
-  }
-  SimConfig<Msg> sc;
-  sc.trace = cfg.trace;
-  sc.net = net;
-  sc.adversary = adversary.get();
-  sim.configure(sc);
-  for (std::uint64_t i = 0; i < disp_rounds; ++i) {
-    if (ctx.sched.offset_of(i) == 0 && ctx.sched.slot_of(i) <= cfg.slots) {
-      const Slot k = ctx.sched.slot_of(i);
-      trace::Event ev;
-      ev.kind = trace::EventKind::kSlotStart;
-      ev.round = i;
-      ev.slot = k;
-      ev.node = ctx.sender_of(k);
-      trace::emit(cfg.trace, ev);
-    }
-    sim.step();
-  }
+  std::vector<SlotEncoding> enc;
+  std::vector<NodeState> states;
+  RunConfig disp = cfg;
+  disp.value_bits = cfg.kappa_bits;
+  disp.input_for_slot = [&enc](Slot s) { return payload_fp64(enc[s].payload); };
+  disp.input_with_log = nullptr;
+  RunResult res = drive<ExtFamily>(disp, {}, &enc, &states);
+  const std::uint32_t k = cfg.n - 2 * cfg.f;
+  const std::size_t payload_len = payload_len_of(cfg);
 
   // ---- Phase 2: digest + receipt votes over the base BB family. ----
   // Base slot b of ext slot s: sub = (b-1) % (n+1); sub 0 carries
@@ -305,15 +271,15 @@ RunResult run_extension(const ExtConfig& cfg) {
     if (sub == 0) return digest_fp64(enc[s].root);
     return states[sub - 1].echoed_fp[s];
   };
-  auto base_sender = [&ctx, per_slot](Slot b) {
+  auto base_sender = [&res, per_slot](Slot b) {
     const Slot s = (b - 1) / per_slot + 1;
     const std::uint32_t sub = (b - 1) % per_slot;
-    return sub == 0 ? ctx.sender_of(s) : static_cast<NodeId>(sub - 1);
+    return sub == 0 ? res.senders[s] : static_cast<NodeId>(sub - 1);
   };
-  RunResult base = run_base(cfg, base_slots, base_input, base_sender);
+  RunResult base = run_base(cfg, family, base_slots, base_input, base_sender);
 
   // ---- Phase 3: local decisions. ----
-  const Round total_rounds = static_cast<Round>(disp_rounds) + base.rounds;
+  const Round total_rounds = res.rounds + base.rounds;
   CommitLog commits(cfg.n);
   for (NodeId v = 0; v < cfg.n; ++v) {
     for (Slot s = 1; s <= cfg.slots; ++s) {
@@ -347,11 +313,11 @@ RunResult run_extension(const ExtConfig& cfg) {
               if (c.root == *root) cols.emplace_back(c.col, c.chunk);
             }
           }
-          if (cols.size() >= ctx.k) {
+          if (cols.size() >= k) {
             const std::vector<std::uint8_t> payload =
-                rs::reconstruct(cols, cfg.n, ctx.k, ctx.payload_len);
+                rs::reconstruct(cols, cfg.n, k, payload_len);
             const std::vector<std::vector<std::uint8_t>> re =
-                rs::encode(payload, cfg.n, ctx.k);
+                rs::encode(payload, cfg.n, k);
             std::vector<Digest> leaves(cfg.n);
             for (std::uint32_t j = 0; j < cfg.n; ++j) {
               leaves[j] = merkle::leaf_hash(j, re[j]);
@@ -377,44 +343,29 @@ RunResult run_extension(const ExtConfig& cfg) {
     }
   }
 
-  // ---- Merge the two phases into one RunResult. ----
-  RunResult res;
-  res.n = cfg.n;
-  res.f = cfg.f;
-  res.slots = cfg.slots;
+  // ---- Merge the base phase into the dispersal phase's RunResult. ----
   res.rounds = total_rounds;
-  res.honest_bits = ledger.honest_bits_total() + base.honest_bits;
-  res.adversary_bits = ledger.adversary_bits_total() + base.adversary_bits;
-  res.honest_msgs = ledger.honest_msgs_total() + base.honest_msgs;
-  res.per_slot_bits.assign(cfg.slots + 1, 0);
-  const std::vector<std::uint64_t>& disp_slot = ledger.per_slot();
+  res.honest_bits += base.honest_bits;
+  res.adversary_bits += base.adversary_bits;
+  res.honest_msgs += base.honest_msgs;
+  std::vector<std::uint64_t> slot_bits(cfg.slots + 1, 0);
   for (Slot s = 1; s <= cfg.slots; ++s) {
-    if (s < disp_slot.size()) res.per_slot_bits[s] = disp_slot[s];
+    if (s < res.per_slot_bits.size()) slot_bits[s] = res.per_slot_bits[s];
     for (std::uint32_t sub = 0; sub < per_slot; ++sub) {
       const Slot b = static_cast<Slot>((s - 1) * per_slot + 1 + sub);
       if (b < base.per_slot_bits.size()) {
-        res.per_slot_bits[s] += base.per_slot_bits[b];
+        slot_bits[s] += base.per_slot_bits[b];
       }
     }
   }
-  res.kind_names = ledger.kind_names();
-  res.per_kind_bits = ledger.per_kind();
+  res.per_slot_bits = std::move(slot_bits);
   for (std::size_t i = 0; i < base.kind_names.size(); ++i) {
     res.kind_names.push_back("base:" + base.kind_names[i]);
     res.per_kind_bits.push_back(i < base.per_kind_bits.size()
                                     ? base.per_kind_bits[i]
                                     : 0);
   }
-  res.commits = commits;
-  res.corrupt.resize(cfg.n);
-  for (NodeId v = 0; v < cfg.n; ++v) res.corrupt[v] = sim.is_corrupt(v);
-  res.senders.resize(cfg.slots + 1, kNoNode);
-  res.sender_inputs.resize(cfg.slots + 1, kBotValue);
-  for (Slot s = 1; s <= cfg.slots; ++s) {
-    res.senders[s] = ctx.sender_of(s);
-    res.sender_inputs[s] = payload_fp64(enc[s].payload);
-  }
-  res.round_stats = sim.round_stats();
+  res.commits = std::move(commits);
   res.round_stats.insert(res.round_stats.end(), base.round_stats.begin(),
                          base.round_stats.end());
   return res;

@@ -31,7 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -39,6 +38,7 @@
 #include "common/wire.hpp"
 #include "crypto/merkle.hpp"
 #include "runner/result.hpp"
+#include "runner/run_config.hpp"
 #include "sim/net.hpp"
 
 namespace ambb::ext {
@@ -61,15 +61,8 @@ struct Msg {
   merkle::Path path;
 };
 
-struct Schedule {
-  std::uint64_t rounds_per_slot() const { return 2; }
-  Slot slot_of(Round r) const {
-    return static_cast<Slot>(r / rounds_per_slot()) + 1;
-  }
-  std::uint32_t offset_of(Round r) const {
-    return static_cast<std::uint32_t>(r % rounds_per_slot());
-  }
-};
+/// 2 rounds per slot (disperse, echo).
+using Schedule = SlotSchedule;
 
 /// Exact wire size of a dispersal message: header, column id, the chunk
 /// bytes, one kappa-bit digest per path level, and the kappa-bit root.
@@ -116,19 +109,14 @@ struct NodeState {
   std::vector<std::vector<StoredChunk>> store;
 };
 
-struct Context {
-  std::uint32_t n = 0;
-  std::uint32_t f = 0;
+struct Context : RunContext {
   std::uint32_t k = 0;  ///< reconstruction threshold n - 2f
   Slot slots = 0;
   std::size_t payload_len = 0;
   std::size_t chunk_len = 0;
-  WireModel wire;
   Schedule sched;
-  std::function<NodeId(Slot)> sender_of;
   const std::vector<SlotEncoding>* enc = nullptr;  ///< [slot], [0] unused
   std::vector<NodeState>* states = nullptr;        ///< [node]
-  trace::TraceSink* trace = nullptr;
 };
 
 class ExtNode final : public Actor<Msg> {
@@ -146,29 +134,15 @@ class ExtNode final : public Actor<Msg> {
   const Context* ctx_;
 };
 
-struct ExtConfig {
-  std::uint32_t n = 16;
-  std::uint32_t f = 4;
-  Slot slots = 8;
-  std::uint64_t seed = 1;
-  /// Payload bytes per slot (the paper's l); 0 = one kappa-bit value.
-  std::uint64_t payload_bytes = 0;
-  std::uint32_t kappa_bits = kDefaultKappaBits;
-  double eps = 0.1;  ///< forwarded to linear-family bases
-  /// Registry name of the base BB family running the digest+receipt
-  /// phase: linear | quadratic | dolev-strong | dolev-strong-msig.
-  std::string base = "linear";
-  /// Dispersal-phase adversary: "none" or any schedule spec
-  /// ("sched:..." / "fuzz[:k]"). The base phase always runs
-  /// adversary-free; the final corrupt set is the dispersal phase's.
-  std::string adversary = "none";
-  /// Network delay policy (DESIGN.md §16): "lockstep" (default) |
-  /// "bounded:<delta>" | "async[:<cap>]". Applies to the dispersal sim
-  /// AND is forwarded to the nested base-family run.
-  std::string net = "lockstep";
-  trace::TraceSink* trace = nullptr;
-};
-
-RunResult run_extension(const ExtConfig& cfg);
+/// One ext:<family> run. `family` names the registry family running the
+/// digest+receipt phase: linear | quadratic | dolev-strong |
+/// dolev-strong-msig. cfg.payload_bytes is the payload per slot (the
+/// paper's l; 0 = one kappa-bit value); cfg.eps is forwarded to a linear
+/// base. cfg.adversary is "none" or any schedule spec ("sched:..." /
+/// "fuzz[:k]") and applies to the dispersal phase only: the base phase
+/// always runs adversary-free, and the final corrupt set is the
+/// dispersal phase's. cfg.net applies to the dispersal sim AND is
+/// forwarded to the nested base-family run.
+RunResult run_extension(const RunConfig& cfg, const std::string& family);
 
 }  // namespace ambb::ext

@@ -17,21 +17,11 @@ namespace ambb {
 
 namespace {
 
-RunResult run_linear_with(const RunRequest& rq, linear::Options opts) {
-  const CommonParams& p = rq.params;
-  linear::LinearConfig cfg;
-  cfg.n = p.n;
-  cfg.f = p.f;
-  cfg.slots = p.slots;
-  cfg.seed = p.seed;
-  cfg.eps = p.eps;
-  cfg.kappa_bits = p.kappa_bits;
-  cfg.value_bits = p.value_bits;
-  cfg.opts = opts;
-  cfg.adversary = p.adversary;
-  cfg.net = p.net;
+RunConfig config_of(const RunRequest& rq) {
+  RunConfig cfg;
+  static_cast<CommonParams&>(cfg) = rq.params;
   cfg.trace = rq.trace;
-  return run_linear(cfg);
+  return cfg;
 }
 
 std::vector<ProtocolInfo> build() {
@@ -50,48 +40,36 @@ std::vector<ProtocolInfo> build() {
     return (2 * n) / 5;
   };
 
-  out.push_back(ProtocolInfo{
-      "linear",
-      "This work, f <= (1/2-eps)n, amortized O(kn)",
-      lin_policy,
-      lin_max_f,
-      [](const RunRequest& rq) {
-        return run_linear_with(rq, linear::Options::paper());
-      }});
-
-  out.push_back(ProtocolInfo{
-      "mr-baseline",
-      "Momose-Ren style, f <= (1/2-eps)n, O(kn^2) per slot",
-      lin_policy,
-      lin_max_f,
-      [](const RunRequest& rq) {
-        return run_linear_with(rq, linear::Options::mr_baseline());
-      }});
-
-  out.push_back(ProtocolInfo{
-      "linear-nomem",
-      "Ablation: Algorithm 4 without cross-slot accusation memory",
-      lin_policy,
-      lin_max_f,
-      [](const RunRequest& rq) {
-        return run_linear_with(rq, linear::Options::no_memory());
-      }});
-
-  {
-    AdversaryPolicy policy = lin_policy;
-    // Without the dissemination path, a selective (or randomly lossy)
-    // leader's partial commit permanently starves the rest (no quorum
-    // remains in later epochs); same starvation under schedules.
-    policy.liveness_failures = {"selective", "mixed", "drop", "chaos"};
-    policy.sched_may_stall = true;
-    out.push_back(ProtocolInfo{
-        "linear-noquery",
-        "Ablation: Algorithm 4 without the Query/Respond path",
-        std::move(policy),
-        lin_max_f,
-        [](const RunRequest& rq) {
-          return run_linear_with(rq, linear::Options::no_query());
-        }});
+  // Without the dissemination path, a selective (or randomly lossy)
+  // leader's partial commit permanently starves the rest (no quorum
+  // remains in later epochs); same starvation under schedules.
+  AdversaryPolicy noquery_policy = lin_policy;
+  noquery_policy.liveness_failures = {"selective", "mixed", "drop", "chaos"};
+  noquery_policy.sched_may_stall = true;
+  struct LinearRow {
+    const char* name;
+    const char* row;
+    linear::Options opts;
+    const AdversaryPolicy& policy;
+  };
+  const LinearRow linear_rows[] = {
+      {"linear", "This work, f <= (1/2-eps)n, amortized O(kn)",
+       linear::Options::paper(), lin_policy},
+      {"mr-baseline", "Momose-Ren style, f <= (1/2-eps)n, O(kn^2) per slot",
+       linear::Options::mr_baseline(), lin_policy},
+      {"linear-nomem",
+       "Ablation: Algorithm 4 without cross-slot accusation memory",
+       linear::Options::no_memory(), lin_policy},
+      {"linear-noquery", "Ablation: Algorithm 4 without the Query/Respond path",
+       linear::Options::no_query(), noquery_policy},
+  };
+  for (const LinearRow& row : linear_rows) {
+    out.push_back(ProtocolInfo{row.name, row.row, row.policy, lin_max_f,
+                               [opts = row.opts](const RunRequest& rq) {
+                                 RunConfig cfg = config_of(rq);
+                                 cfg.opts = opts;
+                                 return linear::run_linear(cfg);
+                               }});
   }
 
   out.push_back(ProtocolInfo{
@@ -103,18 +81,7 @@ std::vector<ProtocolInfo> build() {
                       false},
       [](std::uint32_t n) { return n - 1; },
       [](const RunRequest& rq) {
-        const CommonParams& p = rq.params;
-        quad::QuadConfig cfg;
-        cfg.n = p.n;
-        cfg.f = p.f;
-        cfg.slots = p.slots;
-        cfg.seed = p.seed;
-        cfg.kappa_bits = p.kappa_bits;
-        cfg.value_bits = p.value_bits;
-        cfg.adversary = p.adversary;
-        cfg.net = p.net;
-        cfg.trace = rq.trace;
-        return run_quadratic(cfg);
+        return quad::run_quadratic(config_of(rq));
       }});
   // TrustCast's agreement argument is a delivery deadline ("an honest
   // sender's message reaches every trusted edge this round"), not a
@@ -124,19 +91,9 @@ std::vector<ProtocolInfo> build() {
   const AdversaryPolicy ds_policy{
       {"none", "silent", "equivocate", "stagger"}, {}, false};
   auto run_ds = [](const RunRequest& rq, bool use_multisig) {
-    const CommonParams& p = rq.params;
-    ds::DsConfig cfg;
-    cfg.n = p.n;
-    cfg.f = p.f;
-    cfg.slots = p.slots;
-    cfg.seed = p.seed;
+    RunConfig cfg = config_of(rq);
     cfg.use_multisig = use_multisig;
-    cfg.kappa_bits = p.kappa_bits;
-    cfg.value_bits = p.value_bits;
-    cfg.adversary = p.adversary;
-    cfg.net = p.net;
-    cfg.trace = rq.trace;
-    return run_dolev_strong(cfg);
+    return ds::run_dolev_strong(cfg);
   };
 
   out.push_back(ProtocolInfo{
@@ -165,18 +122,7 @@ std::vector<ProtocolInfo> build() {
       AdversaryPolicy{{"none", "silent", "equivocate", "confuse"}, {}, false},
       [](std::uint32_t n) { return (n - 1) / 3; },
       [](const RunRequest& rq) {
-        const CommonParams& p = rq.params;
-        pk::PkConfig cfg;
-        cfg.n = p.n;
-        cfg.f = p.f;
-        cfg.slots = p.slots;
-        cfg.seed = p.seed;
-        cfg.kappa_bits = p.kappa_bits;
-        cfg.value_bits = p.value_bits;
-        cfg.adversary = p.adversary;
-        cfg.net = p.net;
-        cfg.trace = rq.trace;
-        return run_phase_king(cfg);
+        return pk::run_phase_king(config_of(rq));
       }});
 
   // Long-message extension rows (DESIGN.md §13): erasure-coded dispersal
@@ -215,20 +161,7 @@ std::vector<ProtocolInfo> build() {
             return std::min(base_max_f(n), (n - 1) / 2);
           },
           [base = std::string(row.base)](const RunRequest& rq) {
-            const CommonParams& p = rq.params;
-            ext::ExtConfig cfg;
-            cfg.n = p.n;
-            cfg.f = p.f;
-            cfg.slots = p.slots;
-            cfg.seed = p.seed;
-            cfg.payload_bytes = p.payload_bytes;
-            cfg.kappa_bits = p.kappa_bits;
-            cfg.eps = p.eps;
-            cfg.base = base;
-            cfg.adversary = p.adversary;
-            cfg.net = p.net;
-            cfg.trace = rq.trace;
-            return ext::run_extension(cfg);
+            return ext::run_extension(config_of(rq), base);
           }});
       // Chunk dispersal and receipt collection run on fixed round
       // deadlines regardless of the base family: a delayed chunk misses
@@ -248,18 +181,7 @@ std::vector<ProtocolInfo> build() {
                       /*sched_may_stall=*/true},
       [](std::uint32_t n) { return (n - 1) / 3; },
       [](const RunRequest& rq) {
-        const CommonParams& p = rq.params;
-        hs::HsConfig cfg;
-        cfg.n = p.n;
-        cfg.f = p.f;
-        cfg.slots = p.slots;
-        cfg.seed = p.seed;
-        cfg.kappa_bits = p.kappa_bits;
-        cfg.value_bits = p.value_bits;
-        cfg.adversary = p.adversary;
-        cfg.net = p.net;
-        cfg.trace = rq.trace;
-        return run_hotstuff_demo(cfg);
+        return hs::run_hotstuff_demo(config_of(rq));
       }});
 
   return out;

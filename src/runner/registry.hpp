@@ -8,40 +8,13 @@
 #include <vector>
 
 #include "runner/result.hpp"
+#include "runner/run_config.hpp"
 
 namespace ambb {
 
 namespace trace {
 class TraceSink;
 }
-
-struct CommonParams {
-  std::uint32_t n = 16;
-  std::uint32_t f = 4;
-  Slot slots = 8;
-  std::uint64_t seed = 1;
-  std::string adversary = "none";
-  std::uint32_t kappa_bits = kDefaultKappaBits;
-  std::uint32_t value_bits = kDefaultValueBits;
-  /// Expander parameter of the linear-family protocols (f <= (1/2-eps)n);
-  /// ignored by the other families. The default matches the pre-engine
-  /// registry behaviour bit-for-bit.
-  double eps = 0.1;
-  /// Payload size axis for long-message runs (DESIGN.md §13). 0 keeps the
-  /// historical kappa-sized-value behaviour. The ext:* rows erasure-code
-  /// a payload of this many bytes per slot; for every other row the sweep
-  /// layer translates a nonzero payload into value_bits = 8 * payload
-  /// (the value travels inline), so the same axis prices both designs.
-  std::uint64_t payload_bytes = 0;
-  /// Network delay policy (DESIGN.md §16): "lockstep" (classic synchronous
-  /// delivery, the default — byte-identical to the pre-scheduler engine),
-  /// "bounded:<delta>" (partial synchrony, seeded extra delays up to delta
-  /// rounds) or "async[:<cap>]" (adversary-scheduled delivery, eventual
-  /// delivery within cap rounds). Parsed per run with the run seed mixed
-  /// in (make_net_policy), so the whole execution stays a pure function of
-  /// (params, seed).
-  std::string net = "lockstep";
-};
 
 /// One run, fully specified: the parameters plus an optional trace sink.
 /// Implicitly constructible from CommonParams so every pre-trace call

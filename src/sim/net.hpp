@@ -531,77 +531,46 @@ class Simulation final : CorruptionCtl<Msg> {
         }
       }
     }
-    if (net_.lockstep()) {
-      //  Lock-step fast path: textually the pre-scheduler delivery loop,
-      //  so existing goldens cannot move (no per-delivery policy draws).
-      if (erased_.empty()) {
-        for (const auto& rec : cur_.records()) {
-          if (rec.is_multicast()) {
-            for (NodeId v = 0; v < n_; ++v) deliver_to(v, rec);
-          } else {
-            deliver_to(rec.to, rec);
-          }
+    //  Then this round's traffic, per delivery in emission order:
+    //  combine the policy's seeded base draw with any adversary delay()
+    //  requests (summed, then clamped to the policy bound) and either
+    //  deliver next round or copy the payload into the due-round bucket.
+    //  Erasure wins over delay. Under lockstep every extra is 0 and
+    //  delayed_ is empty, so this is the classic synchronous fan-out.
+    if (!delayed_.empty()) std::sort(delayed_.begin(), delayed_.end());
+    auto er = erased_.begin();
+    auto dl = delayed_.begin();
+    for (const auto& rec : cur_.records()) {
+      const std::size_t fanout = cur_.fanout(rec);
+      for (std::size_t d = rec.base; d < rec.base + fanout; ++d) {
+        if (er != erased_.end() && *er == d) {
+          ++er;
+          while (dl != delayed_.end() && dl->first == d) ++dl;
+          continue;
         }
-      } else {
-        auto er = erased_.begin();
-        for (const auto& rec : cur_.records()) {
-          if (rec.is_multicast()) {
-            for (NodeId v = 0; v < n_; ++v) {
-              if (er != erased_.end() && *er == rec.base + v) {
-                ++er;
-                continue;
-              }
-              deliver_to(v, rec);
-            }
-          } else {
-            if (er != erased_.end() && *er == rec.base) {
-              ++er;
-              continue;
-            }
-            deliver_to(rec.to, rec);
-          }
+        std::uint64_t extra = net_.base_extra(round_, d);
+        while (dl != delayed_.end() && dl->first == d) {
+          extra += dl->second;
+          ++dl;
         }
-      }
-    } else {
-      //  Timing path: per delivery, combine the policy's seeded base
-      //  draw with any adversary delay() requests (summed, then clamped
-      //  to the policy bound) and either deliver next round or copy the
-      //  payload into the due-round bucket. Erasure wins over delay.
-      if (!delayed_.empty()) std::sort(delayed_.begin(), delayed_.end());
-      auto er = erased_.begin();
-      auto dl = delayed_.begin();
-      for (const auto& rec : cur_.records()) {
-        const std::size_t fanout = cur_.fanout(rec);
-        for (std::size_t d = rec.base; d < rec.base + fanout; ++d) {
-          if (er != erased_.end() && *er == d) {
-            ++er;
-            while (dl != delayed_.end() && dl->first == d) ++dl;
-            continue;
-          }
-          std::uint64_t extra = net_.base_extra(round_, d);
-          while (dl != delayed_.end() && dl->first == d) {
-            extra += dl->second;
-            ++dl;
-          }
-          const std::uint32_t x = net_.clamp_extra(extra);
-          const NodeId v = cur_.recipient_of(rec, d);
-          if (x == 0) {
-            deliver_to(v, rec);
-            continue;
-          }
-          const Round land = round_ + 1 + x;
-          pending_[land].push_back(PendingMsg{rec.from, v, rec.msg});
-          st.delayed += 1;
-          if (trace_ != nullptr) {
-            trace::Event ev;
-            ev.kind = trace::EventKind::kDeliveryDelayed;
-            ev.round = round_;
-            ev.node = rec.from;
-            ev.subject = v;
-            ev.count = d;
-            ev.value = land;
-            trace_->on_event(ev);
-          }
+        const std::uint32_t x = net_.clamp_extra(extra);
+        const NodeId v = cur_.recipient_of(rec, d);
+        if (x == 0) {
+          deliver_to(v, rec);
+          continue;
+        }
+        const Round land = round_ + 1 + x;
+        pending_[land].push_back(PendingMsg{rec.from, v, rec.msg});
+        st.delayed += 1;
+        if (trace_ != nullptr) {
+          trace::Event ev;
+          ev.kind = trace::EventKind::kDeliveryDelayed;
+          ev.round = round_;
+          ev.node = rec.from;
+          ev.subject = v;
+          ev.count = d;
+          ev.value = land;
+          trace_->on_event(ev);
         }
       }
     }

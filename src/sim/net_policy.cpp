@@ -35,33 +35,6 @@ const char* net_kind_name(NetKind k) {
   return "?";
 }
 
-std::uint32_t NetPolicy::max_extra() const {
-  switch (kind) {
-    case NetKind::kLockstep: return 0;
-    case NetKind::kBounded: return delta;
-    case NetKind::kAsync: return cap;
-  }
-  return 0;
-}
-
-std::uint32_t NetPolicy::base_extra(Round r, std::uint64_t delivery_index)
-    const {
-  if (kind != NetKind::kBounded || delta == 0) return 0;
-  // Pure hash, no sequential state: the draw for delivery d of round r is
-  // the same no matter in which order other deliveries were examined.
-  std::uint64_t h = seed ^
-                    (static_cast<std::uint64_t>(r) + 1) *
-                        0x9E3779B97F4A7C15ULL ^
-                    (delivery_index + 1) * 0xBF58476D1CE4E5B9ULL;
-  return static_cast<std::uint32_t>(splitmix64(h) %
-                                    (static_cast<std::uint64_t>(delta) + 1));
-}
-
-std::uint32_t NetPolicy::clamp_extra(std::uint64_t extra) const {
-  const std::uint64_t bound = max_extra();
-  return static_cast<std::uint32_t>(extra < bound ? extra : bound);
-}
-
 std::string NetPolicy::spec() const {
   switch (kind) {
     case NetKind::kLockstep: return "lockstep";

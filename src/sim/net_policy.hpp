@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/rng.hpp"
 #include "common/types.hpp"
 
 namespace ambb {
@@ -52,16 +53,40 @@ struct NetPolicy {
 
   bool lockstep() const { return kind == NetKind::kLockstep; }
 
+  // The three per-delivery queries are inline: the simulator's delivery
+  // loop calls them once per delivery on every policy.
+
   /// Hard ceiling on the extra delay of any delivery under this policy
   /// (0 under lockstep: timing faults are rejected there).
-  std::uint32_t max_extra() const;
+  std::uint32_t max_extra() const {
+    switch (kind) {
+      case NetKind::kLockstep: return 0;
+      case NetKind::kBounded: return delta;
+      case NetKind::kAsync: return cap;
+    }
+    return 0;
+  }
 
   /// The network's own extra delay for one delivery, as a pure hash of
   /// (seed, emission round, delivery index). Zero except under bounded.
-  std::uint32_t base_extra(Round r, std::uint64_t delivery_index) const;
+  std::uint32_t base_extra(Round r, std::uint64_t delivery_index) const {
+    if (kind != NetKind::kBounded || delta == 0) return 0;
+    // Pure hash, no sequential state: the draw for delivery d of round r
+    // is the same no matter in which order other deliveries were
+    // examined.
+    std::uint64_t h = seed ^
+                      (static_cast<std::uint64_t>(r) + 1) *
+                          0x9E3779B97F4A7C15ULL ^
+                      (delivery_index + 1) * 0xBF58476D1CE4E5B9ULL;
+    return static_cast<std::uint32_t>(
+        splitmix64(h) % (static_cast<std::uint64_t>(delta) + 1));
+  }
 
   /// Clamp a combined (base + adversary) extra delay to the policy bound.
-  std::uint32_t clamp_extra(std::uint64_t extra) const;
+  std::uint32_t clamp_extra(std::uint64_t extra) const {
+    const std::uint64_t bound = max_extra();
+    return static_cast<std::uint32_t>(extra < bound ? extra : bound);
+  }
 
   /// Canonical spec string ("lockstep", "bounded:3", "async:8").
   std::string spec() const;

@@ -83,7 +83,7 @@ namespace ambb {
 namespace {
 
 TEST(AllocHotPath, SteadyStateAlg4RoundsAllocateNothing) {
-  linear::LinearConfig cfg;
+  RunConfig cfg;
   cfg.n = 16;
   cfg.f = 4;
   cfg.slots = 6;
@@ -97,12 +97,13 @@ TEST(AllocHotPath, SteadyStateAlg4RoundsAllocateNothing) {
       std::uint64_t{cfg.slots} * linear::Schedule{cfg.f}.rounds_per_slot();
   std::vector<std::uint64_t> samples;
   samples.reserve(static_cast<std::size_t>(total_rounds) + 1);
-  cfg.on_round_end = [&samples](Round, linear::Sim&) {
+  SimHooks<linear::Sim> hooks;
+  hooks.on_round_end = [&samples](Round, linear::Sim&) {
     samples.push_back(g_allocs.load(std::memory_order_relaxed));
   };
 
   samples.push_back(g_allocs.load(std::memory_order_relaxed));
-  const RunResult r = run_linear(cfg);
+  const RunResult r = run_linear(cfg, hooks);
   ASSERT_EQ(samples.size(), static_cast<std::size_t>(total_rounds) + 1);
   ASSERT_EQ(r.rounds, total_rounds);
 

@@ -42,7 +42,7 @@ TEST(DeliveryQueue, DuplicateDecisionRejected) {
 class AbcProperties : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(AbcProperties, TotalOrderAgreementValidity) {
-  AbcConfig cfg;
+  RunConfig cfg;
   cfg.n = 12;
   cfg.f = 4;
   cfg.slots = 10;
@@ -66,12 +66,12 @@ INSTANTIATE_TEST_SUITE_P(Adversaries, AbcProperties,
                          [](const auto& info) { return info.param; });
 
 TEST(Abc, CustomPayloadsAreDelivered) {
-  AbcConfig cfg;
+  RunConfig cfg;
   cfg.n = 10;
   cfg.f = 3;
   cfg.slots = 6;
   cfg.seed = 2;
-  cfg.payload_for_slot = [](Slot k) { return Value{90000 + k}; };
+  cfg.input_for_slot = [](Slot k) { return Value{90000 + k}; };
   AbcResult r = run_atomic_broadcast(cfg);
   ASSERT_TRUE(check_total_order(r).empty());
   for (Slot k = 1; k <= 6; ++k) {
@@ -81,7 +81,7 @@ TEST(Abc, CustomPayloadsAreDelivered) {
 }
 
 TEST(Abc, DecidedRoundsAreMonotonePerReplica) {
-  AbcConfig cfg;
+  RunConfig cfg;
   cfg.n = 12;
   cfg.f = 4;
   cfg.slots = 8;

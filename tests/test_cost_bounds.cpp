@@ -20,7 +20,7 @@ namespace {
 double linear_tail(std::uint32_t n, const std::string& adv, Slot slots,
                    Slot warmup, linear::Options opts = {},
                    double eps = 0.1) {
-  linear::LinearConfig cfg;
+  RunConfig cfg;
   cfg.n = n;
   cfg.f = static_cast<std::uint32_t>((0.5 - eps) * n);
   cfg.slots = slots;
@@ -50,7 +50,7 @@ TEST(CostBounds, LinearSteadyStateIsLinearInN) {
 }
 
 TEST(CostBounds, LinearOneTimeCostsAmortizeAway) {
-  linear::LinearConfig cfg;
+  RunConfig cfg;
   cfg.n = 16;
   cfg.f = 6;
   cfg.slots = 48;
@@ -86,7 +86,7 @@ TEST(CostBounds, MrBaselineIsQuadraticInN) {
 TEST(CostBounds, QuadraticSteadyStateIsQuadraticInN) {
   std::vector<double> ns, costs;
   for (std::uint32_t n : {8u, 12u, 16u, 24u}) {
-    quad::QuadConfig cfg;
+    RunConfig cfg;
     cfg.n = n;
     cfg.f = n / 2;
     cfg.slots = static_cast<Slot>(3 * n);
@@ -105,7 +105,7 @@ TEST(CostBounds, QuadraticSteadyStateIsQuadraticInN) {
 TEST(CostBounds, QuadraticDolevStrongPhaseBounded) {
   // Corrupt-vote traffic is shared across slots: the "corrupt" kind's
   // total bits must not grow once every corrupt sender has been convicted.
-  quad::QuadConfig cfg;
+  RunConfig cfg;
   cfg.n = 8;
   cfg.f = 4;
   cfg.seed = 5;
@@ -133,7 +133,7 @@ TEST(CostBounds, DolevStrongBenignIsQuadraticInN) {
   // fires: Theta(kappa n^2) per slot.
   std::vector<double> ns, costs;
   for (std::uint32_t n : {8u, 12u, 16u, 24u}) {
-    ds::DsConfig cfg;
+    RunConfig cfg;
     cfg.n = n;
     cfg.f = n - 2;
     cfg.slots = 4;
@@ -155,7 +155,7 @@ TEST(CostBounds, DolevStrongWorstCaseIsCubicInN) {
   // row of Table 1.
   std::vector<double> ns, costs;
   for (std::uint32_t n : {8u, 12u, 16u, 24u, 32u}) {
-    ds::DsConfig cfg;
+    RunConfig cfg;
     cfg.n = n;
     // f = n/2: chains are Theta(n) long AND Theta(n) honest nodes relay
     // them (with f = n-2 only two honest nodes exist and the wave is
@@ -178,7 +178,7 @@ TEST(CostBounds, LinearTotalWithinPaperEnvelope) {
   // C(L) <= c1 * kappa * n * L + c2 * kappa * n^3 for generous constants:
   // checks the additive structure, not just the limit.
   for (const char* adv : {"silent", "mixed", "selective"}) {
-    linear::LinearConfig cfg;
+    RunConfig cfg;
     cfg.n = 20;
     cfg.f = 8;
     cfg.slots = 30;
@@ -197,7 +197,7 @@ TEST(CostBounds, LinearTotalWithinPaperEnvelope) {
 TEST(CostBounds, FloodAttackDamageIsBounded) {
   // A query2-flooder elicits Respond-2 traffic, but only while it has
   // fresh nodes to accuse: doubling L must not double the damage.
-  linear::LinearConfig cfg;
+  RunConfig cfg;
   cfg.n = 16;
   cfg.f = 6;
   cfg.seed = 5;

@@ -5,9 +5,19 @@
 // implementation (one Envelope per (sender, recipient) copy, per-envelope
 // std::function accounting) before the shared-record rewrite; any drift
 // here means the rewrite changed an execution, not just its speed.
+//
+// The rows after the seed captures extend the same pin to the hotstuff
+// row, to each linear-family options variant, to one fault-schedule
+// ("sched:..." / "fuzz") cell per family including ext:*, and to the
+// bounded and async delay policies. They were captured from the
+// per-family drivers before those were folded into the shared driver
+// harness (runner/drive.hpp), so any drift means the harness changed an
+// execution.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdint>
+#include <string>
 
 #include "runner/registry.hpp"
 
@@ -57,6 +67,7 @@ struct Golden {
   std::uint64_t honest_msgs;
   std::uint64_t per_slot_hash;
   std::uint64_t commit_hash;
+  const char* net = "lockstep";
 };
 
 // Captured from the seed implementation (see file header).
@@ -75,6 +86,40 @@ constexpr Golden kGolden[] = {
      110592ull, 168ull, 0x75649199436ad97dull, 0xfedf54da0e857183ull},
     {"phase-king", 10u, 3u, 3u, 42ull, "confuse", 133803ull, 192264ull,
      1539ull, 0x3116ff46abc99a1eull, 0xf979075daad8bf43ull},
+    // Captured from the per-family drivers (see file header).
+    {"hotstuff", 10u, 3u, 4u, 42ull, "selective", 46260ull, 53004ull,
+     81ull, 0x31af80a67187c0fcull, 0x21f59dee0178aa7aull},
+    {"hotstuff", 10u, 3u, 4u, 42ull, "none", 102672ull, 0ull,
+     180ull, 0x0dd58d3995b1f443ull, 0x32fadd620a883fe7ull},
+    {"mr-baseline", 8u, 3u, 4u, 42ull, "mixed", 349847ull, 225389ull,
+     734ull, 0x77b85fe2bbc23774ull, 0x97698bb7eb785640ull},
+    {"linear-nomem", 8u, 3u, 4u, 42ull, "mixed", 334187ull, 190565ull,
+     738ull, 0x616a15e935589489ull, 0xe38d8413f9d15134ull},
+    {"linear-noquery", 8u, 3u, 4u, 42ull, "selective", 259319ull, 227331ull,
+     526ull, 0xc65399c5206bff8full, 0x0f832605399af183ull},
+    {"linear", 8u, 3u, 4u, 42ull, "fuzz", 248413ull, 89372ull,
+     455ull, 0xc4cf75d15375ac8full, 0x0ae4a9591a744053ull},
+    {"quadratic", 8u, 4u, 4u, 42ull, "fuzz", 173838ull, 80565ull,
+     413ull, 0x77c8f6f5b810d33eull, 0x9a65eab2ab089226ull},
+    {"dolev-strong", 8u, 4u, 3u, 42ull, "fuzz", 106764ull, 34860ull,
+     133ull, 0x1490c34a8b1977cbull, 0x87a1c4eb57498ac9ull},
+    {"dolev-strong-msig", 8u, 4u, 3u, 42ull,
+     "sched:corrupt(0,0,1);silence(0,0,*);shuffle(1,0,*)", 48384ull, 9216ull,
+     84ull, 0xc88441cddf44e6c3ull, 0x0416030926efc7a5ull},
+    {"phase-king", 10u, 3u, 3u, 42ull, "fuzz", 523962ull, 191869ull,
+     1674ull, 0x70c8026eb58ebf25ull, 0x2066d58e2ef22ae7ull},
+    {"hotstuff", 10u, 3u, 4u, 42ull, "fuzz", 66780ull, 19948ull,
+     117ull, 0x55342febf6e7c54dull, 0x844ccc415699efdfull},
+    {"ext:linear", 8u, 2u, 2u, 42ull, "fuzz", 1648176ull, 16058ull,
+     2886ull, 0xc313c800a2ff0bdbull, 0xb0e778ac9eb21b73ull},
+    {"ext:quadratic", 8u, 2u, 2u, 42ull, "sched:corrupt(0,1);stagger(1,0,*,1)",
+     640947ull, 18352ull, 1065ull, 0x14d926f64baa84c4ull,
+     0x2a36181b77f71603ull},
+    {"linear", 8u, 3u, 4u, 42ull,
+     "sched:corrupt(0,2);delay(5,0,*,1);reorder(2,0,*)", 215309ull, 29197ull,
+     692ull, 0x01e2c2a19a399171ull, 0x06816bd16438a6c3ull, "bounded:2"},
+    {"quadratic", 8u, 4u, 4u, 42ull, "fuzz:3", 520590ull, 79544ull,
+     1470ull, 0xf6226fc3e085766bull, 0xc500975498eb905aull, "async"},
 };
 
 class DeterminismGolden : public ::testing::TestWithParam<std::size_t> {};
@@ -87,6 +132,7 @@ TEST_P(DeterminismGolden, MatchesSeedImplementationBitForBit) {
   p.slots = g.slots;
   p.seed = g.seed;
   p.adversary = g.adversary;
+  p.net = g.net;
   RunResult r = protocol(g.proto).run(p);
 
   EXPECT_EQ(r.honest_bits, g.honest_bits) << g.proto << "/" << g.adversary;
@@ -107,6 +153,7 @@ TEST_P(DeterminismGolden, RepeatedRunsAreIdentical) {
   p.slots = g.slots;
   p.seed = g.seed;
   p.adversary = g.adversary;
+  p.net = g.net;
   RunResult a = protocol(g.proto).run(p);
   RunResult b = protocol(g.proto).run(p);
   EXPECT_EQ(a.honest_bits, b.honest_bits);
@@ -118,11 +165,12 @@ INSTANTIATE_TEST_SUITE_P(
     SeedCaptures, DeterminismGolden,
     ::testing::Range(std::size_t{0}, std::size_t{std::size(kGolden)}),
     [](const auto& info) {
-      std::string s = kGolden[info.param].proto;
-      s += "_";
-      s += kGolden[info.param].adversary;
+      const Golden& g = kGolden[info.param];
+      std::string s = std::string(g.proto) + "_" + g.adversary;
+      if (std::string(g.net) != "lockstep") s += std::string("_") + g.net;
+      // gtest names are [A-Za-z0-9_]; schedule specs carry punctuation.
       for (char& c : s) {
-        if (c == '-') c = '_';
+        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
       }
       return s;
     });

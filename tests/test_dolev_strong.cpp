@@ -7,9 +7,9 @@
 namespace ambb::ds {
 namespace {
 
-DsConfig base_cfg(std::uint32_t n, std::uint32_t f, Slot slots,
+RunConfig base_cfg(std::uint32_t n, std::uint32_t f, Slot slots,
                   std::uint64_t seed, const std::string& adv, bool msig) {
-  DsConfig cfg;
+  RunConfig cfg;
   cfg.n = n;
   cfg.f = f;
   cfg.slots = slots;
@@ -116,7 +116,7 @@ TEST(DolevStrong, ChainValidationRejectsForgeries) {
 }
 
 TEST(DolevStrong, HonestSenderAlwaysDeliversInput) {
-  DsConfig cfg = base_cfg(9, 6, 9, 11, "silent", false);
+  RunConfig cfg = base_cfg(9, 6, 9, 11, "silent", false);
   cfg.input_for_slot = [](Slot k) { return Value{500 + k}; };
   auto r = run_dolev_strong(cfg);
   ASSERT_TRUE(check_all(r).empty());

@@ -99,11 +99,11 @@ TEST(Extension, RegistryBoundCapsFAtDispersalThreshold) {
   EXPECT_EQ(protocol("ext:linear").max_f(10), 4u);        // 2n/5 binds
   EXPECT_EQ(protocol("ext:linear").max_f(8), 3u);         // (n-1)/2 binds
 
-  ext::ExtConfig bad;
+  RunConfig bad;
   bad.n = 8;
   bad.f = 4;  // 2f >= n
   bad.slots = 1;
-  EXPECT_THROW(ext::run_extension(bad), CheckError);
+  EXPECT_THROW(ext::run_extension(bad, "linear"), CheckError);
 }
 
 TEST(Extension, NamedBaseAdversariesAreRejected) {
@@ -113,12 +113,12 @@ TEST(Extension, NamedBaseAdversariesAreRejected) {
   EXPECT_TRUE(protocol("ext:linear").policy.accepts("none"));
   EXPECT_TRUE(protocol("ext:linear").policy.accepts("fuzz:3"));
 
-  auto cfg = ext::ExtConfig{};
+  RunConfig cfg;
   cfg.n = 8;
   cfg.f = 2;
   cfg.slots = 1;
   cfg.adversary = "mixed";
-  EXPECT_THROW(ext::run_extension(cfg), CheckError);
+  EXPECT_THROW(ext::run_extension(cfg, "linear"), CheckError);
 }
 
 TEST(Extension, BeatsRawInlineBaselineAtLargePayload) {

@@ -10,9 +10,9 @@
 namespace ambb {
 namespace {
 
-hs::HsConfig base_cfg(std::uint32_t n, std::uint32_t f, Slot slots,
+RunConfig base_cfg(std::uint32_t n, std::uint32_t f, Slot slots,
                       std::uint64_t seed, const std::string& adv) {
-  hs::HsConfig cfg;
+  RunConfig cfg;
   cfg.n = n;
   cfg.f = f;
   cfg.slots = slots;
@@ -59,7 +59,7 @@ TEST(HotStuff, StallIsPermanentAcrossSlots) {
 TEST(HotStuff, Algorithm4RecoversInTheSameScenario) {
   // Same n, f, rotation, and a selective-send leader strategy: the paper's
   // protocol commits everywhere thanks to the Query/Respond path.
-  linear::LinearConfig cfg;
+  RunConfig cfg;
   cfg.n = 10;
   cfg.f = 3;
   cfg.slots = 6;

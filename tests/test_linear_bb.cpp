@@ -12,9 +12,9 @@
 namespace ambb::linear {
 namespace {
 
-LinearConfig base_cfg(std::uint32_t n, std::uint32_t f, Slot slots,
+RunConfig base_cfg(std::uint32_t n, std::uint32_t f, Slot slots,
                       std::uint64_t seed, const std::string& adv) {
-  LinearConfig cfg;
+  RunConfig cfg;
   cfg.n = n;
   cfg.f = f;
   cfg.slots = slots;

@@ -21,13 +21,14 @@ namespace {
 class LinearInvariants : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(LinearInvariants, NoCorruptProofOnHonestNodes) {
-  LinearConfig cfg;
+  RunConfig cfg;
   cfg.n = 16;
   cfg.f = 5;
   cfg.slots = 10;
   cfg.seed = 11;
   cfg.adversary = GetParam();
-  cfg.inspect = [&](Sim& sim) {
+  SimHooks<Sim> hooks;
+  hooks.inspect = [&](Sim& sim) {
     for (NodeId u = 0; u < cfg.n; ++u) {
       if (sim.is_corrupt(u)) continue;
       auto* node = dynamic_cast<LinearNode*>(sim.actor(u));
@@ -40,18 +41,19 @@ TEST_P(LinearInvariants, NoCorruptProofOnHonestNodes) {
       }
     }
   };
-  auto r = run_linear(cfg);
+  auto r = run_linear(cfg, hooks);
   EXPECT_TRUE(check_all(r).empty());
 }
 
 TEST_P(LinearInvariants, HonestNodesNeverAccuseHonestNodes) {
-  LinearConfig cfg;
+  RunConfig cfg;
   cfg.n = 16;
   cfg.f = 5;
   cfg.slots = 10;
   cfg.seed = 29;
   cfg.adversary = GetParam();
-  cfg.inspect = [&](Sim& sim) {
+  SimHooks<Sim> hooks;
+  hooks.inspect = [&](Sim& sim) {
     for (NodeId u = 0; u < cfg.n; ++u) {
       if (sim.is_corrupt(u)) continue;
       auto* node = dynamic_cast<LinearNode*>(sim.actor(u));
@@ -64,18 +66,19 @@ TEST_P(LinearInvariants, HonestNodesNeverAccuseHonestNodes) {
       }
     }
   };
-  auto r = run_linear(cfg);
+  auto r = run_linear(cfg, hooks);
   EXPECT_TRUE(check_all(r).empty());
 }
 
 TEST_P(LinearInvariants, Query2BoundedByFreshAccusations) {
-  LinearConfig cfg;
+  RunConfig cfg;
   cfg.n = 16;
   cfg.f = 5;
   cfg.slots = 12;
   cfg.seed = 31;
   cfg.adversary = GetParam();
-  cfg.inspect = [&](Sim& sim) {
+  SimHooks<Sim> hooks;
+  hooks.inspect = [&](Sim& sim) {
     for (NodeId u = 0; u < cfg.n; ++u) {
       if (sim.is_corrupt(u)) continue;
       auto* node = dynamic_cast<LinearNode*>(sim.actor(u));
@@ -88,7 +91,7 @@ TEST_P(LinearInvariants, Query2BoundedByFreshAccusations) {
           << "node " << u << " under " << cfg.adversary;
     }
   };
-  auto r = run_linear(cfg);
+  auto r = run_linear(cfg, hooks);
   EXPECT_TRUE(check_all(r).empty());
 }
 
@@ -105,14 +108,15 @@ INSTANTIATE_TEST_SUITE_P(Adversaries, LinearInvariants,
 TEST(LinearInvariants, AccusationKnowledgeMonotone) {
   // Accusation sets only grow across rounds (monotonicity underpins the
   // amortization argument).
-  LinearConfig cfg;
+  RunConfig cfg;
   cfg.n = 12;
   cfg.f = 4;
   cfg.slots = 6;
   cfg.seed = 17;
   cfg.adversary = "mixed";
   std::vector<std::size_t> last_counts(cfg.n, 0);
-  cfg.on_round_end = [&](Round, Sim& sim) {
+  SimHooks<Sim> hooks;
+  hooks.on_round_end = [&](Round, Sim& sim) {
     for (NodeId u = 0; u < cfg.n; ++u) {
       if (sim.is_corrupt(u)) continue;
       auto* node = dynamic_cast<LinearNode*>(sim.actor(u));
@@ -127,20 +131,21 @@ TEST(LinearInvariants, AccusationKnowledgeMonotone) {
       last_counts[u] = total;
     }
   };
-  auto r = run_linear(cfg);
+  auto r = run_linear(cfg, hooks);
   EXPECT_TRUE(check_all(r).empty());
 }
 
 TEST(LinearInvariants, SilentLeadersGetConvictedExactlyOnce) {
   // Under the all-silent adversary every corrupt node ends up with a
   // corrupt-proof at every honest node, and stays convicted.
-  LinearConfig cfg;
+  RunConfig cfg;
   cfg.n = 16;
   cfg.f = 5;
   cfg.slots = 12;
   cfg.seed = 3;
   cfg.adversary = "silent";
-  cfg.inspect = [&](Sim& sim) {
+  SimHooks<Sim> hooks;
+  hooks.inspect = [&](Sim& sim) {
     for (NodeId u = 0; u < cfg.n; ++u) {
       if (sim.is_corrupt(u)) continue;
       auto* node = dynamic_cast<LinearNode*>(sim.actor(u));
@@ -151,7 +156,7 @@ TEST(LinearInvariants, SilentLeadersGetConvictedExactlyOnce) {
       }
     }
   };
-  auto r = run_linear(cfg);
+  auto r = run_linear(cfg, hooks);
   EXPECT_TRUE(check_all(r).empty());
 }
 

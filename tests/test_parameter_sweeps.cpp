@@ -85,7 +85,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(KappaScaling, LinearCostScalesWithKappa) {
   auto run_with_kappa = [](std::uint32_t kappa) {
-    linear::LinearConfig cfg;
+    RunConfig cfg;
     cfg.n = 16;
     cfg.f = 6;
     cfg.slots = 8;
@@ -107,7 +107,7 @@ TEST(KappaScaling, LinearCostScalesWithKappa) {
 
 TEST(KappaScaling, QuadraticCostScalesWithKappa) {
   auto run_with_kappa = [](std::uint32_t kappa) {
-    quad::QuadConfig cfg;
+    RunConfig cfg;
     cfg.n = 10;
     cfg.f = 5;
     cfg.slots = 10;
@@ -126,7 +126,7 @@ TEST(KappaScaling, QuadraticCostScalesWithKappa) {
 
 TEST(KappaScaling, PhaseKingIsKappaFree) {
   auto run_with_kappa = [](std::uint32_t kappa) {
-    pk::PkConfig cfg;
+    RunConfig cfg;
     cfg.n = 10;
     cfg.f = 3;
     cfg.slots = 4;
@@ -142,7 +142,7 @@ TEST(KappaScaling, PhaseKingIsKappaFree) {
 
 TEST(ValueWidth, CostsGrowWithValueBitsButExecutionIsIdentical) {
   auto run_with_value_bits = [](std::uint32_t vb) {
-    linear::LinearConfig cfg;
+    RunConfig cfg;
     cfg.n = 14;
     cfg.f = 5;
     cfg.slots = 5;
@@ -165,7 +165,7 @@ TEST(ValueWidth, CostsGrowWithValueBitsButExecutionIsIdentical) {
 
 TEST(SenderSchedules, FixedAndReversedSchedulesWork) {
   for (int mode = 0; mode < 2; ++mode) {
-    linear::LinearConfig cfg;
+    RunConfig cfg;
     cfg.n = 12;
     cfg.f = 4;
     cfg.slots = 6;

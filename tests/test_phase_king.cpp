@@ -7,9 +7,9 @@
 namespace ambb::pk {
 namespace {
 
-PkConfig base_cfg(std::uint32_t n, std::uint32_t f, Slot slots,
+RunConfig base_cfg(std::uint32_t n, std::uint32_t f, Slot slots,
                   std::uint64_t seed, const std::string& adv) {
-  PkConfig cfg;
+  RunConfig cfg;
   cfg.n = n;
   cfg.f = f;
   cfg.slots = slots;
@@ -68,7 +68,7 @@ TEST(PhaseKing, SilentSenderYieldsUnanimousBot) {
 }
 
 TEST(PhaseKing, HonestSenderDeliversDespiteConfusers) {
-  PkConfig cfg = base_cfg(10, 3, 6, 3, "confuse");
+  RunConfig cfg = base_cfg(10, 3, 6, 3, "confuse");
   cfg.input_for_slot = [](Slot k) { return Value{111 * k}; };
   auto r = run_phase_king(cfg);
   ASSERT_TRUE(check_all(r).empty());

@@ -15,7 +15,7 @@ TEST(Sequentiality, CommitRoundsPrecedeNextSlotInvocation) {
   // round, under every adversary — the structural guarantee that makes
   // causal inputs sound.
   for (const char* adv : {"none", "silent", "selective", "mixed", "chaos"}) {
-    linear::LinearConfig cfg;
+    RunConfig cfg;
     cfg.n = 14;
     cfg.f = 5;
     cfg.slots = 8;
@@ -36,7 +36,7 @@ TEST(Sequentiality, CommitRoundsPrecedeNextSlotInvocation) {
 }
 
 TEST(Sequentiality, QuadCommitRoundsAreSlotOrdered) {
-  quad::QuadConfig cfg;
+  RunConfig cfg;
   cfg.n = 9;
   cfg.f = 5;
   cfg.slots = 9;
@@ -56,7 +56,7 @@ TEST(Sequentiality, CausalInputsChainThroughCommits) {
   // input_with_log: slot k's payload = f(committed value at slot k-1).
   // Verify the committed chain respects the recurrence at every honest
   // node even with Byzantine senders interleaved.
-  linear::LinearConfig cfg;
+  RunConfig cfg;
   cfg.n = 12;
   cfg.f = 4;
   cfg.slots = 10;
@@ -94,7 +94,7 @@ TEST(Sequentiality, CausalInputsChainThroughCommits) {
 TEST(Sequentiality, CausalInputsSeeIdenticalPrefixEverywhere) {
   // Consistency makes "the value committed at slot k-1" well-defined: any
   // honest node's view of the prefix gives the same causal inputs.
-  abc::AbcConfig cfg;
+  RunConfig cfg;
   cfg.n = 12;
   cfg.f = 4;
   cfg.slots = 8;

@@ -297,6 +297,11 @@ TEST(SweepExpand, ValidationErrors) {
   spec.seed_end = 5;
   spec.repetitions = 0;
   EXPECT_THROW(expand(spec), CheckError);
+
+  spec.repetitions = 1;
+  EXPECT_NO_THROW(expand(spec));
+  spec.slots_list = {4, 0};  // a 0-slot cell would pass every oracle empty
+  EXPECT_THROW(expand(spec), CheckError);
 }
 
 TEST(SweepExpand, ExpandAllConcatenatesInSpecOrder) {
@@ -436,6 +441,13 @@ TEST(SpecParser, ErrorsCarryTheOffendingLine) {
                      "spec line 5");
   expect_parse_error("sweep x\nprotocol linear\npayload 4096 huge\n",
                      "spec line 3");
+  // A 0-slot cell runs no rounds and would report a passing nan row.
+  expect_parse_error("sweep x\nprotocol quadratic\nn 4\nf 1\nslots 0\n",
+                     "spec line 5: slots must be >= 1");
+  expect_parse_error("sweep x\nprotocol quadratic\nslots 8 0\n",
+                     "spec line 3: slots must be >= 1");
+  expect_parse_error("sweep x\nprotocol quadratic\n\nslots-per-n 0\n",
+                     "spec line 4: slots-per-n must be >= 1");
 }
 
 TEST(SpecParser, PayloadKeyParsesAList) {

@@ -16,13 +16,14 @@ namespace {
 class TrustCastProperties : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(TrustCastProperties, IntegrityHonestEdgesSurvive) {
-  QuadConfig cfg;
+  RunConfig cfg;
   cfg.n = 10;
   cfg.f = 5;
   cfg.slots = 12;
   cfg.seed = 5;
   cfg.adversary = GetParam();
-  cfg.inspect = [&](Sim& sim) {
+  SimHooks<Sim> hooks;
+  hooks.inspect = [&](Sim& sim) {
     for (NodeId u = 0; u < cfg.n; ++u) {
       if (sim.is_corrupt(u)) continue;
       auto* node = dynamic_cast<QuadNode*>(sim.actor(u));
@@ -41,12 +42,12 @@ TEST_P(TrustCastProperties, IntegrityHonestEdgesSurvive) {
       }
     }
   };
-  auto r = run_quadratic(cfg);
+  auto r = run_quadratic(cfg, hooks);
   EXPECT_TRUE(check_all(r).empty());
 }
 
 TEST_P(TrustCastProperties, TransferabilityAcrossRounds) {
-  QuadConfig cfg;
+  RunConfig cfg;
   cfg.n = 8;
   cfg.f = 4;
   cfg.slots = 4;
@@ -56,7 +57,8 @@ TEST_P(TrustCastProperties, TransferabilityAcrossRounds) {
   // Snapshot every honest node's graph each round; check
   // G_u(t+1) subgraph-of G_v(t) for all honest pairs.
   std::map<NodeId, TrustGraph> prev;
-  cfg.on_round_end = [&](Round r, Sim& sim) {
+  SimHooks<Sim> hooks;
+  hooks.on_round_end = [&](Round r, Sim& sim) {
     std::map<NodeId, TrustGraph> cur;
     for (NodeId u = 0; u < cfg.n; ++u) {
       if (sim.is_corrupt(u)) continue;
@@ -75,19 +77,20 @@ TEST_P(TrustCastProperties, TransferabilityAcrossRounds) {
     }
     prev = std::move(cur);
   };
-  auto r = run_quadratic(cfg);
+  auto r = run_quadratic(cfg, hooks);
   EXPECT_TRUE(check_all(r).empty());
 }
 
 TEST_P(TrustCastProperties, TerminationValueOrRemoval) {
-  QuadConfig cfg;
+  RunConfig cfg;
   cfg.n = 9;
   cfg.f = 5;
   cfg.slots = 9;
   cfg.seed = 23;
   cfg.adversary = GetParam();
   const std::uint64_t rps = Schedule{cfg.n, cfg.f}.rounds_per_slot();
-  cfg.on_round_end = [&](Round r, Sim& sim) {
+  SimHooks<Sim> hooks;
+  hooks.on_round_end = [&](Round r, Sim& sim) {
     // At the end of TrustCast round n of each slot.
     if (r % rps != cfg.n) return;
     for (NodeId u = 0; u < cfg.n; ++u) {
@@ -100,7 +103,7 @@ TEST_P(TrustCastProperties, TerminationValueOrRemoval) {
           << "round " << r << " node " << u << " under " << cfg.adversary;
     }
   };
-  auto r = run_quadratic(cfg);
+  auto r = run_quadratic(cfg, hooks);
   EXPECT_TRUE(check_all(r).empty());
 }
 
@@ -111,13 +114,14 @@ INSTANTIATE_TEST_SUITE_P(Adversaries, TrustCastProperties,
                          [](const auto& info) { return info.param; });
 
 TEST(TrustCastEngine, HonestSenderKeepsCompleteGraphWithoutFaults) {
-  QuadConfig cfg;
+  RunConfig cfg;
   cfg.n = 8;
   cfg.f = 3;
   cfg.slots = 4;
   cfg.seed = 1;
   cfg.adversary = "none";
-  cfg.inspect = [&](Sim& sim) {
+  SimHooks<Sim> hooks;
+  hooks.inspect = [&](Sim& sim) {
     for (NodeId u = 0; u < cfg.n; ++u) {
       auto* node = dynamic_cast<QuadNode*>(sim.actor(u));
       ASSERT_NE(node, nullptr);
@@ -125,18 +129,19 @@ TEST(TrustCastEngine, HonestSenderKeepsCompleteGraphWithoutFaults) {
                 static_cast<std::uint64_t>(cfg.n) * (cfg.n - 1) / 2);
     }
   };
-  auto r = run_quadratic(cfg);
+  auto r = run_quadratic(cfg, hooks);
   EXPECT_TRUE(check_all(r).empty());
 }
 
 TEST(TrustCastEngine, SilentSenderRemovedEverywhere) {
-  QuadConfig cfg;
+  RunConfig cfg;
   cfg.n = 8;
   cfg.f = 3;
   cfg.slots = 1;  // slot 1 sender = node 0 = corrupt silent
   cfg.seed = 1;
   cfg.adversary = "silent";
-  cfg.inspect = [&](Sim& sim) {
+  SimHooks<Sim> hooks;
+  hooks.inspect = [&](Sim& sim) {
     for (NodeId u = 0; u < cfg.n; ++u) {
       if (sim.is_corrupt(u)) continue;
       auto* node = dynamic_cast<QuadNode*>(sim.actor(u));
@@ -145,7 +150,7 @@ TEST(TrustCastEngine, SilentSenderRemovedEverywhere) {
       EXPECT_TRUE(node->voted_corrupt(0));
     }
   };
-  auto r = run_quadratic(cfg);
+  auto r = run_quadratic(cfg, hooks);
   ASSERT_TRUE(check_all(r).empty());
   // Everyone commits bot for the silent sender's slot.
   for (NodeId u = cfg.f; u < cfg.n; ++u) {
