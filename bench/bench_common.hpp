@@ -2,10 +2,7 @@
 // regenerates one artifact of the paper (Table 1 or a quantitative claim
 // from Sections 4.2/5.1/5.4/Appendix A — DESIGN.md's experiment index),
 // printing the measured rows next to the paper's asymptotic prediction.
-//
-// Wall-clock timing of full multi-shot executions is registered through
-// google-benchmark; the communication measurements (the paper's actual
-// metric) are printed as tables after the timing runs.
+// Wall-clock performance is measured by perfbench/, not here.
 //
 // Job execution is delegated to the experiment engine (src/engine/):
 // each bench expands its grid into independent engine jobs, runs them on
@@ -16,14 +13,11 @@
 // (wall-clock metadata excepted).
 //
 // Every measured execution is property-checked by the engine, so printed
-// numbers always come from correct executions; violations (and jobs
-// captured by the engine's failure isolation) make the binary exit
-// non-zero. Setting AMBB_BENCH_INJECT_VIOLATION=1 injects a synthetic
-// violation into every recorded run, to prove the non-zero-exit
-// plumbing works.
+// numbers always come from correct executions. A bench ends in
+// engine::report_campaign, as ambb_sweep and ambb_fuzz do: one status
+// table, BENCH_<name>.json, and a non-zero exit on any violation or
+// failed job (AMBB_BENCH_INJECT_VIOLATION=1 proves that plumbing).
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
@@ -32,8 +26,10 @@
 #include <utility>
 #include <vector>
 
+#include "cli.hpp"
 #include "engine/engine.hpp"
 #include "engine/report.hpp"
+#include "engine/sweep.hpp"
 #include "runner/fit.hpp"
 #include "runner/registry.hpp"
 #include "runner/result.hpp"
@@ -42,7 +38,7 @@
 namespace ambb::bench {
 
 using engine::Job;
-using engine::RunRecord;
+using engine::registry_job;
 
 inline void print_header(const char* experiment, const char* claim) {
   std::printf("\n================================================================\n");
@@ -52,8 +48,11 @@ inline void print_header(const char* experiment, const char* claim) {
 }
 
 struct BenchState {
-  std::size_t violations = 0;
-  std::vector<RunRecord> runs;
+  std::vector<engine::JobOutcome> outcomes;
+  /// Failed checks made outside the engine (expander quality, the
+  /// payload crossover); they fail the bench like a violation.
+  std::size_t failed_checks = 0;
+  unsigned jobs = 0;     ///< AMBB_BENCH_JOBS (0 = one per hardware thread)
   unsigned threads = 1;  ///< worker-pool size of the last run_jobs call
   std::chrono::steady_clock::time_point start =
       std::chrono::steady_clock::now();
@@ -64,143 +63,50 @@ inline BenchState& state() {
   return s;
 }
 
-/// Worker-pool size for this bench process: AMBB_BENCH_JOBS if set (1 =
-/// serial), otherwise 0 = one worker per hardware thread.
-inline unsigned bench_jobs() {
-  if (const char* e = std::getenv("AMBB_BENCH_JOBS")) {
-    const long v = std::strtol(e, nullptr, 10);
-    if (v > 0) return static_cast<unsigned>(v);
-  }
-  return 0;
-}
-
-/// Record one engine outcome into the bench state (call in submission
-/// order — recording is what pins the printed/serialized order).
-inline const RunResult& record_outcome(const engine::JobOutcome& out) {
-  std::size_t extra = 0;
-  if (std::getenv("AMBB_BENCH_INJECT_VIOLATION") != nullptr) {
-    extra = 1;  // synthetic violation: prove the non-zero-exit plumbing
-  }
-  if (!out.completed) {
-    std::printf("!! %s did not complete: %s\n", out.label.c_str(),
-                out.error.c_str());
-  } else if (!out.violations.empty()) {
-    std::printf("!! %s produced %zu property violations (first: %s)\n",
-                out.label.c_str(), out.violations.size(),
-                out.violations[0].c_str());
-  }
-  RunRecord rec = engine::to_record(out);
-  rec.violations += extra;
-  state().violations += rec.violations;
-  state().runs.push_back(std::move(rec));
-  return out.result;
-}
-
 /// Execute a batch of jobs through the engine and return their results
 /// in submission order. Failed jobs yield a default-constructed
 /// RunResult and are reported as failure rows (non-zero exit).
 inline std::vector<RunResult> run_jobs(const std::vector<Job>& jobs) {
-  engine::Engine eng(bench_jobs());
+  const engine::Engine eng(state().jobs);
   state().threads = eng.jobs();
-  std::vector<engine::JobOutcome> outcomes = eng.run(jobs);
   std::vector<RunResult> results;
-  results.reserve(outcomes.size());
-  for (const auto& out : outcomes) results.push_back(record_outcome(out));
+  results.reserve(jobs.size());
+  for (engine::JobOutcome& out : eng.run(jobs)) {
+    results.push_back(out.result);
+    state().outcomes.push_back(std::move(out));
+  }
   return results;
 }
 
-/// One-off checked execution (single-job batch through the engine).
-template <class Fn>
-RunResult timed_checked(const std::string& label, Fn&& run,
-                        bool allow_stall = false) {
-  return run_jobs({Job{label, std::forward<Fn>(run), allow_stall}})[0];
-}
-
-/// Engine job for a registry protocol at the given params, with an
-/// explicit label and stall policy. Benches that predate the registry's
-/// auto-label format keep their historical labels (they are pinned by the
-/// BENCH_<name>.json goldens), and some deliberately tolerate stalls the
-/// registry would not predict (the quantity under test IS the stall).
-inline Job registry_job(const std::string& proto, const CommonParams& p,
-                        std::string label, bool allow_stall) {
-  const ProtocolInfo& info = protocol(proto);
-  return Job{std::move(label), [&info, p] { return info.run(p); },
-             allow_stall};
-}
-
-/// Same, but the stall policy comes from the registry: liveness failures
-/// the registry knows about skip the termination check.
-inline Job registry_job(const std::string& proto, const CommonParams& p,
-                        std::string label) {
-  return registry_job(proto, p, std::move(label),
-                      may_stall(protocol(proto), p.adversary));
-}
-
-/// Same, with the auto-format label "<proto>/<adversary>/n<n>".
-inline Job registry_job(const std::string& proto, const CommonParams& p) {
-  return registry_job(proto, p,
-                      proto + "/" + p.adversary + "/n" + std::to_string(p.n));
-}
-
-/// Unchecked direct run for google-benchmark timing loops (no engine, no
-/// property checks — these loops measure wall clock only; the measured
-/// communication numbers all flow through run_jobs).
-inline RunResult registry_run(const std::string& proto,
-                              const CommonParams& p) {
-  return protocol(proto).run(p);
-}
-
-/// Run a protocol from the registry and sanity-check the run (so the
-/// numbers we print always come from correct executions).
-inline RunResult checked_run(const std::string& proto,
-                             const CommonParams& p) {
-  return run_jobs({registry_job(proto, p)})[0];
-}
-
-/// Print the per-run round-stats summary table, write BENCH_<name>.json
-/// (schema v2 — see engine/report.hpp), and return the process exit code
-/// (non-zero iff any checked run violated a property or failed to
-/// complete). Every bench main() ends with `return finish_bench(...)`.
-inline int finish_bench(const char* bench_name) {
-  BenchState& st = state();
-
-  if (!st.runs.empty()) {
-    std::printf("\nPer-run simulator statistics (%zu checked runs):\n",
-                st.runs.size());
-    TextTable t({"run", "wall ms", "rounds", "records", "deliveries",
-                 "erase", "corrupt", "acct ms", "deliver ms"});
-    for (const RunRecord& r : st.runs) {
-      t.add_row({r.label, TextTable::num(r.wall_ms, 1),
-                 std::to_string(r.rounds), std::to_string(r.stats.records),
-                 std::to_string(r.stats.deliveries),
-                 std::to_string(r.stats.erasures),
-                 std::to_string(r.stats.corruptions),
-                 TextTable::num(r.stats.ns_accounting / 1e6, 2),
-                 TextTable::num(r.stats.ns_delivery / 1e6, 2)});
-    }
-    std::printf("%s", t.render().c_str());
+/// A bench's whole main(): it takes no arguments (a usage line and exit 2
+/// otherwise), reads AMBB_BENCH_JOBS (digits only; exit 2 otherwise),
+/// runs `body` and returns report_campaign's exit code.
+inline int bench_main(int argc, char** argv, const char* name,
+                      void (*body)()) {
+  if (argc > 1) {
+    std::fprintf(stderr,
+                 "usage: %s   (no arguments; AMBB_BENCH_JOBS=N sets the "
+                 "worker count)\n",
+                 argv[0]);
+    return 2;
   }
-
+  BenchState& st = state();
+  if (const char* e = std::getenv("AMBB_BENCH_JOBS")) {
+    std::uint32_t jobs = 0;
+    if (!cli::parse_u32(e, &jobs)) {
+      std::fprintf(stderr, "AMBB_BENCH_JOBS expects a number, got '%s'\n", e);
+      return 2;
+    }
+    st.jobs = jobs;
+  }
+  body();
+  std::printf("\n");
   const double wall_ms_total =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - st.start)
           .count();
-  const std::string path = std::string("BENCH_") + bench_name + ".json";
-  if (engine::write_bench_json(path, bench_name, st.runs, st.violations,
-                               st.threads, wall_ms_total)) {
-    std::printf("\nwrote %s (%zu runs, %u threads)\n", path.c_str(),
-                st.runs.size(), st.threads);
-  } else {
-    std::printf("\n!! could not write %s\n", path.c_str());
-  }
-
-  if (st.violations != 0) {
-    std::printf("!! %zu property violations across checked runs — "
-                "failing the bench\n",
-                st.violations);
-    return 1;
-  }
-  return 0;
+  return engine::report_campaign(name, st.outcomes, st.threads,
+                                 wall_ms_total, st.failed_checks);
 }
 
 }  // namespace ambb::bench

@@ -84,7 +84,9 @@ void run_table() {
     for (const std::string& adv : {std::string("none"),
                                   std::string(row.worst_adv)}) {
       CommonParams p = params_for(row, n, adv);
-      jobs.push_back(registry_job(row.proto, p));
+      jobs.push_back(registry_job(row.proto, p,
+                                  std::string(row.proto) + "/" + adv + "/n" +
+                                      std::to_string(n)));
       grid.push_back(std::move(p));
     }
   }
@@ -116,25 +118,10 @@ void run_table() {
       "variant (DESIGN.md).\n");
 }
 
-void BM_Table1Row(::benchmark::State& state) {
-  const Row& row = kRows[static_cast<std::size_t>(state.range(0))];
-  CommonParams p = params_for(row, 16, "none");
-  p.slots = 8;
-  for (auto _ : state) {
-    RunResult r = protocol(row.proto).run(p);
-    ::benchmark::DoNotOptimize(r.honest_bits);
-    state.counters["bits_per_slot"] =
-        static_cast<double>(r.honest_bits) / p.slots;
-  }
-}
-BENCHMARK(BM_Table1Row)->DenseRange(0, 5)->Unit(::benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace ambb::bench
 
 int main(int argc, char** argv) {
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
-  ambb::bench::run_table();
-  return ambb::bench::finish_bench("table1");
+  return ambb::bench::bench_main(argc, argv, "table1",
+                                 ambb::bench::run_table);
 }

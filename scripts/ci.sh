@@ -45,7 +45,7 @@
 #
 # The perf_smoke stage is the measurement-drift gate for the zero-copy
 # hot path: it runs bench_f2_scaling in AMBB_F2_SMOKE=1 mode (one small-n
-# row per series, timing loops filtered out) and diffs every measurement
+# row per series) and diffs every measurement
 # field against the committed BENCH_f2_scaling.json by run label
 # (scripts/check_bench_fields.py). Wall-clock and ns_* fields are
 # excluded: the gate catches semantic drift, not machine noise.
@@ -109,10 +109,7 @@ perf_smoke() {
   echo "== perf_smoke: bench_f2_scaling (AMBB_F2_SMOKE=1) =="
   local dir
   dir="$(mktemp -d)"
-  # --benchmark_filter matches nothing: skip the wall-clock timing loops,
-  # the gate only needs the checked measurement rows.
-  (cd "$dir" && AMBB_F2_SMOKE=1 "$OLDPWD/build/bench/bench_f2_scaling" \
-      --benchmark_filter='^$')
+  (cd "$dir" && AMBB_F2_SMOKE=1 "$OLDPWD/build/bench/bench_f2_scaling")
   echo "== perf_smoke: measurement-field diff vs committed golden =="
   python3 scripts/check_bench_fields.py \
       BENCH_f2_scaling.json "$dir/BENCH_f2_scaling.json"

@@ -28,15 +28,23 @@ std::vector<JobOutcome> Engine::run(const std::vector<Job>& jobs) const {
     const auto t1 = std::chrono::steady_clock::now();
     out.wall_ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (out.completed) {
-      if (!job.allow_split) out.violations = check_consistency(out.result);
-      if (!job.allow_invalid) {
-        auto v = check_validity(out.result);
-        out.violations.insert(out.violations.end(), v.begin(), v.end());
-      }
-      if (!job.allow_stall) {
-        auto t = check_termination(out.result);
-        out.violations.insert(out.violations.end(), t.begin(), t.end());
+    if (!out.completed) return out;
+    const struct {
+      Oracle oracle;
+      bool relaxed;
+      std::vector<std::string> (*check)(const RunResult&);
+    } oracles[] = {
+        {Oracle::kConsistency, job.allow_split, check_consistency},
+        {Oracle::kValidity, job.allow_invalid, check_validity},
+        {Oracle::kTermination, job.allow_stall, check_termination},
+    };
+    for (const auto& o : oracles) {
+      for (std::string& what : o.check(out.result)) {
+        if (o.relaxed) {
+          out.relaxed.push_back(Finding{o.oracle, std::move(what)});
+        } else {
+          out.violations.push_back(std::move(what));
+        }
       }
     }
     return out;

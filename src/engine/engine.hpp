@@ -20,8 +20,14 @@
 // Failure isolation: a job that throws (AMBB_CHECK/CheckError or any
 // std::exception) or whose BB property check fails is captured as a
 // structured failure in its JobOutcome; the remaining jobs run to
-// completion. Callers decide whether failures are fatal (the benches and
-// ambb_sweep exit non-zero; tests assert).
+// completion. Callers decide whether failures are fatal (the benches,
+// ambb_sweep and ambb_fuzz end in engine::report_campaign, which exits
+// non-zero; tests assert).
+//
+// Oracles: all three Definition-2 checks run on every completed job,
+// exactly once, here. A check the job's allow_* flag relaxes still runs;
+// its findings land in JobOutcome::relaxed (measured and reported, never
+// a failure) instead of JobOutcome::violations.
 #pragma once
 
 #include <atomic>
@@ -83,21 +89,30 @@ auto parallel_map(std::size_t count, unsigned jobs, Fn&& fn)
   return results;
 }
 
+/// The three Definition-2 oracles (runner/result.hpp check_*).
+enum class Oracle : std::uint8_t { kConsistency, kValidity, kTermination };
+
+/// One finding of an oracle that the job's allow_* flags relax.
+struct Finding {
+  Oracle oracle = Oracle::kConsistency;
+  std::string what;
+};
+
 /// One independent experiment: a self-contained driver closure. The
 /// closure must own (or construct) everything it touches — the engine
 /// guarantees it is invoked exactly once, possibly on another thread.
 struct Job {
   std::string label;
   std::function<RunResult()> run;
-  /// Skip the termination check (registry-known liveness failures under
+  /// Relax the termination check (registry-known liveness failures under
   /// specific adversaries; stalling is the measured claim there).
   bool allow_stall = false;
-  /// Skip the validity check. Set by non-lockstep campaign cells: a
+  /// Relax the validity check. Set by non-lockstep campaign cells: a
   /// synchronous protocol cannot distinguish an honest sender whose
   /// dissemination was delayed from a silent one, so validity — like
   /// termination — is conditional on the synchrony assumption.
   bool allow_invalid = false;
-  /// Skip the consistency check. Set by non-lockstep campaign cells ONLY
+  /// Relax the consistency check. Set by non-lockstep campaign cells ONLY
   /// for registry rows that declare consistency_needs_sync: a protocol
   /// whose agreement argument is itself a round deadline (the
   /// Dolev-Strong relay step, TrustCast delivery, chunk-dispersal
@@ -117,9 +132,12 @@ struct JobOutcome {
   std::string error;
   RunResult result;
   double wall_ms = 0.0;
-  /// BB property violations (consistency + validity + termination unless
-  /// allow_stall) found in a completed result.
+  /// BB property violations found in a completed result by the checks
+  /// the job's allow_* flags do not relax.
   std::vector<std::string> violations;
+  /// Findings of the checks the job's allow_* flags relax (a stall, a
+  /// degraded validity, a consistency split): reported, not failures.
+  std::vector<Finding> relaxed;
 
   bool failed() const { return !completed || !violations.empty(); }
 };

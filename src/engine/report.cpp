@@ -1,7 +1,12 @@
 #include "engine/report.hpp"
 
+#include <array>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+
+#include "runner/table.hpp"
 
 namespace ambb::engine {
 
@@ -32,6 +37,19 @@ std::string fixed3(double v) {
 std::string json_number(double v) {
   return std::isfinite(v) ? fixed3(v) : "null";
 }
+
+/// Per relaxed oracle, in Oracle order: the status tag, the ".." line
+/// wording and the unit its findings count.
+struct RelaxedText {
+  const char* tag;
+  const char* finding;
+  const char* unit;
+};
+constexpr RelaxedText kRelaxedText[] = {
+    {"split", "consistency split", "slots"},
+    {"degraded", "validity degraded", "commits"},
+    {"stalled", "stalled", "node-slots"},
+};
 
 }  // namespace
 
@@ -106,17 +124,109 @@ std::string render_bench_json(const std::string& bench_name,
   return json;
 }
 
-bool write_bench_json(const std::string& path, const std::string& bench_name,
-                      const std::vector<RunRecord>& records,
-                      std::size_t total_violations, unsigned threads,
-                      double wall_ms_total) {
-  const std::string json = render_bench_json(
-      bench_name, records, total_violations, threads, wall_ms_total);
+int report_campaign(const std::string& name,
+                    const std::vector<JobOutcome>& outcomes, unsigned threads,
+                    double wall_ms_total, std::size_t extra_violations) {
+  const bool inject = std::getenv("AMBB_BENCH_INJECT_VIOLATION") != nullptr;
+  std::vector<RunRecord> records;
+  records.reserve(outcomes.size());
+  std::size_t violations = extra_violations;
+  std::size_t failed_jobs = 0;
+  std::array<std::size_t, 3> relaxed_runs{};  // runs per relaxed oracle
+  std::uint64_t deferred = 0;
+  TextTable t({"run", "rounds", "honest bits", "adv bits", "amortized",
+               "erase", "corrupt", "wall ms", "status"});
+  std::string notes;  // the "!!" and ".." lines, printed after the table
+  for (const JobOutcome& out : outcomes) {
+    RunRecord rec = to_record(out);
+    if (inject) rec.violations += 1;
+    std::string status = "ok";
+    if (!out.completed) {
+      status = "FAILED";
+      ++failed_jobs;
+      notes += "!! " + out.label + " did not complete: " + out.error + "\n";
+    } else if (rec.violations != 0) {
+      status = "VIOLATION";
+    }
+    if (!out.violations.empty()) {
+      notes += "!! " + out.label + ": " +
+               std::to_string(out.violations.size()) +
+               " property violations (first: " + out.violations[0] + ")\n";
+    }
+    std::array<std::size_t, 3> count{};
+    std::array<const Finding*, 3> first{};
+    for (const Finding& f : out.relaxed) {
+      const auto o = static_cast<std::size_t>(f.oracle);
+      if (count[o]++ == 0) first[o] = &f;
+    }
+    std::string tags;
+    for (std::size_t o = 0; o < count.size(); ++o) {
+      if (count[o] == 0) continue;
+      ++relaxed_runs[o];
+      tags += (tags.empty() ? "" : "+") + std::string(kRelaxedText[o].tag);
+      notes += ".. " + out.label + ": " + kRelaxedText[o].finding + " (" +
+               std::to_string(count[o]) + " " + kRelaxedText[o].unit +
+               ", first: " + first[o]->what + ")\n";
+    }
+    if (status == "ok" && !tags.empty()) status = tags;
+    t.add_row({rec.label, std::to_string(rec.rounds),
+               TextTable::bits_human(static_cast<double>(rec.honest_bits)),
+               TextTable::bits_human(static_cast<double>(rec.adversary_bits)),
+               TextTable::bits_human(rec.amortized),
+               std::to_string(rec.stats.erasures),
+               std::to_string(rec.stats.corruptions),
+               TextTable::num(rec.wall_ms, 1), status});
+    deferred += rec.stats.delayed;
+    violations += rec.violations;
+    records.push_back(std::move(rec));
+  }
+  if (!records.empty()) std::printf("%s", t.render().c_str());
+  std::printf("%s", notes.c_str());
+  if (relaxed_runs != std::array<std::size_t, 3>{} || deferred != 0) {
+    std::printf("relaxed oracles over %zu runs: %zu with degraded validity, "
+                "%zu with consistency splits, %zu stalled; %llu deliveries "
+                "deferred\n",
+                records.size(), relaxed_runs[1], relaxed_runs[0],
+                relaxed_runs[2], static_cast<unsigned long long>(deferred));
+  }
+  if (inject) {
+    std::printf("!! AMBB_BENCH_INJECT_VIOLATION is set: one synthetic "
+                "violation per run\n");
+  }
+
+  const std::string path = "BENCH_" + name + ".json";
+  const std::string json =
+      render_bench_json(name, records, violations, threads, wall_ms_total);
   std::FILE* fp = std::fopen(path.c_str(), "w");
-  if (fp == nullptr) return false;
-  std::fwrite(json.data(), 1, json.size(), fp);
-  std::fclose(fp);
-  return true;
+  const bool written =
+      fp != nullptr && std::fwrite(json.data(), 1, json.size(), fp) ==
+                           json.size();
+  if (fp == nullptr || std::fclose(fp) != 0 || !written) {
+    std::fprintf(stderr, "!! could not write %s\n", path.c_str());
+    return 2;
+  }
+  std::printf("wrote %s (%zu runs, %u threads, %.1f ms total)\n",
+              path.c_str(), records.size(), threads, wall_ms_total);
+  if (violations != 0 || failed_jobs != 0) {
+    std::printf("!! %zu violations, %zu failed jobs — failing %s\n",
+                violations, failed_jobs, name.c_str());
+    return 1;
+  }
+  std::printf("no violations across %zu checked runs\n", records.size());
+  return 0;
+}
+
+int run_campaign(const char* tool, const std::string& name,
+                 const std::vector<Job>& jobs, unsigned workers) {
+  const Engine eng(workers);
+  std::printf("%s: %zu jobs on %u worker thread%s\n", tool, jobs.size(),
+              eng.jobs(), eng.jobs() == 1 ? "" : "s");
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::vector<JobOutcome> outcomes = eng.run(jobs);
+  const double wall_ms_total = std::chrono::duration<double, std::milli>(
+                                   std::chrono::steady_clock::now() - t0)
+                                   .count();
+  return report_campaign(name, outcomes, eng.jobs(), wall_ms_total);
 }
 
 }  // namespace ambb::engine

@@ -1,6 +1,7 @@
-// Machine-readable run reporting shared by the bench harnesses and the
-// ambb_sweep CLI: one RunRecord per checked execution, serialized to
-// BENCH_<name>.json.
+// Campaign reporting shared by ambb_sweep, ambb_fuzz and the bench
+// binaries: report_campaign() turns engine outcomes into one status
+// table, the failure and relaxed-oracle lines, BENCH_<name>.json (one
+// RunRecord per checked execution) and the process exit code.
 //
 // Schema history:
 //   v1  (PR 1)  — {bench, violations, runs[]}; serial execution only.
@@ -53,10 +54,28 @@ std::string render_bench_json(const std::string& bench_name,
                               std::size_t total_violations, unsigned threads,
                               double wall_ms_total);
 
-/// Write render_bench_json() to `path`; returns false on I/O failure.
-bool write_bench_json(const std::string& path, const std::string& bench_name,
-                      const std::vector<RunRecord>& records,
-                      std::size_t total_violations, unsigned threads,
-                      double wall_ms_total);
+/// The one end of every campaign. Prints, in submission order, a status
+/// table (ok / VIOLATION / FAILED, or the relaxed oracles that fired), a
+/// "!!" line per failed job or violated run and a ".." line per relaxed
+/// oracle that fired; then, if any relaxed oracle fired or any delivery
+/// was deferred, one relaxed-oracle summary. Writes BENCH_<name>.json to
+/// the working directory.
+///
+/// AMBB_BENCH_INJECT_VIOLATION (any value) adds one synthetic violation
+/// to every run, to prove the non-zero-exit plumbing. `extra_violations`
+/// counts failed checks made outside the engine (bench_f6_expander's
+/// expansion checks) into the json and the exit code.
+///
+/// Returns the exit code: 2 if the json could not be written, else 1 if
+/// any job failed or any violation was counted, else 0.
+int report_campaign(const std::string& name,
+                    const std::vector<JobOutcome>& outcomes, unsigned threads,
+                    double wall_ms_total, std::size_t extra_violations = 0);
+
+/// ambb_sweep's and ambb_fuzz's whole run: `jobs` on an Engine(workers),
+/// announced as "<tool>: N jobs on T worker threads", timed, and ended in
+/// report_campaign(name, ...), whose exit code it returns.
+int run_campaign(const char* tool, const std::string& name,
+                 const std::vector<Job>& jobs, unsigned workers);
 
 }  // namespace ambb::engine

@@ -57,6 +57,23 @@ std::vector<Slot> slots_for(const SweepSpec& spec, std::uint32_t n) {
 
 }  // namespace
 
+OracleRelaxation relaxed_oracles(const ProtocolInfo& info,
+                                 const std::string& adversary,
+                                 const std::string& net) {
+  const bool lockstep = net == "lockstep";
+  return OracleRelaxation{may_stall(info, adversary) || !lockstep,
+                          !lockstep,
+                          !lockstep && info.consistency_needs_sync};
+}
+
+Job registry_job(const std::string& proto, const CommonParams& p,
+                 std::string label) {
+  const ProtocolInfo& info = protocol(proto);
+  const OracleRelaxation relax = relaxed_oracles(info, p.adversary, p.net);
+  return Job{std::move(label), [&info, p] { return info.run(p); },
+             relax.allow_stall, relax.allow_invalid, relax.allow_split};
+}
+
 std::vector<SweepJob> expand(const SweepSpec& spec) {
   const ProtocolInfo& info = protocol(spec.protocol);  // validates the name
   AMBB_CHECK_MSG(!spec.ns.empty(), "sweep '" << spec.name << "': empty n list");
@@ -106,25 +123,15 @@ std::vector<SweepJob> expand(const SweepSpec& spec) {
           for (const auto& net : nets) {
             const bool lockstep_net = net == "lockstep";
             for (const auto& adv : spec.adversaries) {
-              // Non-lockstep cells relax the synchrony-conditional
-              // oracles: a delayed delivery can push the last commits
-              // past the fixed round horizon (termination), and a
-              // delayed honest sender is indistinguishable from a
-              // silent one (validity). Consistency stays a hard
-              // failure — except for rows whose agreement argument is
-              // itself a round deadline (consistency_needs_sync in the
-              // registry: the Dolev-Strong relay step, TrustCast,
-              // chunk dispersal), which may legally split under delays.
-              const bool stall_ok = may_stall(info, adv) || !lockstep_net;
+              const OracleRelaxation relax = relaxed_oracles(info, adv, net);
               for (std::uint64_t seed = spec.seed_begin;
                    seed <= spec.seed_end; ++seed) {
                 for (std::uint32_t rep = 0; rep < spec.repetitions; ++rep) {
                   SweepJob sj;
                   sj.protocol = spec.protocol;
-                  sj.allow_stall = stall_ok;
-                  sj.allow_invalid = !lockstep_net;
-                  sj.allow_split =
-                      !lockstep_net && info.consistency_needs_sync;
+                  sj.allow_stall = relax.allow_stall;
+                  sj.allow_invalid = relax.allow_invalid;
+                  sj.allow_split = relax.allow_split;
                   sj.params.n = n;
                   sj.params.f = f;
                   sj.params.slots = L;
@@ -185,23 +192,6 @@ std::vector<SweepJob> filter_jobs(std::vector<SweepJob> jobs,
   return out;
 }
 
-Job to_engine_job(const SweepJob& sj) {
-  const ProtocolInfo& info = protocol(sj.protocol);
-  // The closure copies the params and takes the registry entry by
-  // reference (the registry is an immutable magic static); each
-  // invocation builds a fresh Simulation/ledger/RNG inside the driver.
-  CommonParams params = sj.params;
-  return Job{sj.label, [&info, params] { return info.run(params); },
-             sj.allow_stall, sj.allow_invalid, sj.allow_split};
-}
-
-std::vector<Job> to_engine_jobs(const std::vector<SweepJob>& sjs) {
-  std::vector<Job> out;
-  out.reserve(sjs.size());
-  for (const auto& sj : sjs) out.push_back(to_engine_job(sj));
-  return out;
-}
-
 std::string trace_path(const std::string& dir, std::size_t index,
                        const std::string& label) {
   std::string name = label;
@@ -219,23 +209,26 @@ std::string trace_path(const std::string& dir, std::size_t index,
 
 std::vector<Job> to_engine_jobs(const std::vector<SweepJob>& sjs,
                                 const std::string& trace_dir) {
-  if (trace_dir.empty()) return to_engine_jobs(sjs);
   std::vector<Job> out;
   out.reserve(sjs.size());
   for (std::size_t i = 0; i < sjs.size(); ++i) {
     const SweepJob& sj = sjs[i];
+    // The closure copies the params and takes the registry entry by
+    // reference (the registry is an immutable magic static).
     const ProtocolInfo& info = protocol(sj.protocol);
-    CommonParams params = sj.params;
-    std::string path = trace_path(trace_dir, i, sj.label);
-    out.push_back(Job{sj.label,
-                      [&info, params, path = std::move(path)] {
-                        std::ofstream os(path,
-                                         std::ios::binary | std::ios::trunc);
-                        AMBB_CHECK_MSG(os, "cannot open trace file " << path);
-                        trace::JsonlSink sink(os);
-                        return info.run(RunRequest{params, &sink});
-                      },
-                      sj.allow_stall, sj.allow_invalid, sj.allow_split});
+    std::function<RunResult()> run = [&info, p = sj.params] {
+      return info.run(p);
+    };
+    if (!trace_dir.empty()) {
+      run = [&info, p = sj.params, path = trace_path(trace_dir, i, sj.label)] {
+        std::ofstream os(path, std::ios::binary | std::ios::trunc);
+        AMBB_CHECK_MSG(os, "cannot open trace file " << path);
+        trace::JsonlSink sink(os);
+        return info.run(RunRequest{p, &sink});
+      };
+    }
+    out.push_back(Job{sj.label, std::move(run), sj.allow_stall,
+                      sj.allow_invalid, sj.allow_split});
   }
   return out;
 }
@@ -341,6 +334,18 @@ std::vector<SweepSpec> parse_spec(const std::string& text) {
                                        << ": key before any 'sweep' block");
     AMBB_CHECK_MSG(nargs >= 1, "spec line " << lineno << ": '" << key
                                             << "' needs a value");
+    // A second token on a single-value key is a typo (or a list the key
+    // does not support); reject it instead of dropping it.
+    const bool single_value =
+        key == "protocol" || key == "f-frac" || key == "slots-per-n" ||
+        key == "reps" || key == "eps" || key == "kappa" ||
+        key == "value-bits";
+    AMBB_CHECK_MSG(!single_value || nargs == 1,
+                   "spec line " << lineno << ": '" << key
+                                << "' takes one value, got " << nargs);
+    AMBB_CHECK_MSG(key != "f" || toks[1] != "max" || nargs == 1,
+                   "spec line " << lineno
+                                << ": 'f max' takes no further value");
 
     if (key == "protocol") {
       cur->protocol = toks[1];

@@ -32,12 +32,9 @@
 //   net lockstep bounded:2     # network delay policies (DESIGN.md §16):
 //                              #   lockstep | bounded:<delta> |
 //                              #   async[:<cap>]; default lockstep.
-//                              #   Non-lockstep cells relax termination
-//                              #   and validity (both are conditional on
-//                              #   synchrony); consistency stays hard
-//                              #   except for consistency_needs_sync
-//                              #   registry rows (DS family, quadratic,
-//                              #   ext:*), whose splits are expected
+//                              #   Non-lockstep cells relax the
+//                              #   synchrony-conditional oracles
+//                              #   (relaxed_oracles below)
 //
 // Blank lines between blocks are optional; later keys override earlier
 // ones within a block. Malformed input throws CheckError with the
@@ -92,13 +89,8 @@ struct SweepSpec {
   std::vector<std::uint64_t> payloads;
 
   /// Network delay-policy axis (DESIGN.md §16); empty = {"lockstep"}.
-  /// Each entry must parse (parse_net_policy). Cells with a non-lockstep
-  /// policy run with allow_stall and allow_invalid: termination AND
-  /// validity are conditional on synchrony (a delayed honest sender is
-  /// indistinguishable from a silent one). Consistency stays a hard
-  /// failure for quorum-intersection rows; rows whose agreement argument
-  /// is itself a round deadline declare consistency_needs_sync in the
-  /// registry and additionally get allow_split.
+  /// Each entry must parse (parse_net_policy). A cell's oracle
+  /// relaxations follow from its net and adversary (relaxed_oracles).
   std::vector<std::string> nets;
 };
 
@@ -107,13 +99,38 @@ struct SweepJob {
   std::string label;  ///< "<name>/<adversary>/n<k>[/f..][/L..][/p..][/s..][/r..]"
   std::string protocol;
   CommonParams params;
-  bool allow_stall = false;  ///< from the registry's known liveness failures
-  bool allow_invalid = false;  ///< non-lockstep cell (engine::Job doc)
-  /// Non-lockstep cell of a consistency_needs_sync registry row: the
-  /// protocol's agreement argument is a round deadline, so honest
-  /// commits may legally split under delays (engine::Job::allow_split).
+  /// engine::Job's oracle relaxations, from relaxed_oracles().
+  bool allow_stall = false;
+  bool allow_invalid = false;
   bool allow_split = false;
 };
+
+/// The oracle-relaxation rule: which Definition-2 checks a run of `info`
+/// under `adversary` and `net` may fail without failing (engine::Job's
+/// allow_* flags). expand() and registry_job() — and through them
+/// ambb_sweep, ambb_fuzz and the benches — take their flags from here:
+///   - termination is relaxed where the registry predicts a stall under
+///     `adversary`, and under every non-lockstep net (a delayed delivery
+///     can push the last commits past the fixed round horizon);
+///   - validity is relaxed under every non-lockstep net (a delayed honest
+///     sender is indistinguishable from a silent one);
+///   - consistency is relaxed under a non-lockstep net only for rows that
+///     declare consistency_needs_sync, whose agreement argument is itself
+///     a round deadline (the Dolev-Strong relay step, TrustCast, chunk
+///     dispersal); for quorum-intersection rows it is always hard.
+struct OracleRelaxation {
+  bool allow_stall = false;
+  bool allow_invalid = false;
+  bool allow_split = false;
+};
+OracleRelaxation relaxed_oracles(const ProtocolInfo& info,
+                                 const std::string& adversary,
+                                 const std::string& net);
+
+/// Engine job running registry protocol `proto` at `p`, with the
+/// relaxed_oracles() flags for its adversary and net.
+Job registry_job(const std::string& proto, const CommonParams& p,
+                 std::string label);
 
 /// Cross-product expansion in the documented stable order. Validates the
 /// protocol name, the adversary names and f < n against the registry;
@@ -127,13 +144,6 @@ std::vector<SweepJob> expand_all(const std::vector<SweepSpec>& specs);
 std::vector<SweepJob> filter_jobs(std::vector<SweepJob> jobs,
                                   const std::string& needle);
 
-/// Engine job for one cell: a registry lookup plus a self-contained run
-/// closure (the driver constructs its own Simulation / ledger / RNG from
-/// the params, so cells never share simulator state).
-Job to_engine_job(const SweepJob& sj);
-
-std::vector<Job> to_engine_jobs(const std::vector<SweepJob>& sjs);
-
 /// Trace file path for job `index` of a sweep: "<dir>/NNNN_<label>.jsonl"
 /// with the submission index zero-padded and every label character
 /// outside [A-Za-z0-9._-] replaced by '-'. Submission-order naming keeps
@@ -142,12 +152,15 @@ std::vector<Job> to_engine_jobs(const std::vector<SweepJob>& sjs);
 std::string trace_path(const std::string& dir, std::size_t index,
                        const std::string& label);
 
-/// Like to_engine_jobs, but each job writes a deterministic JSONL event
-/// trace to trace_path(trace_dir, index, label). Each closure owns its
-/// file stream and sink, so parallel workers never share a sink. An
-/// empty trace_dir degenerates to the plain overload.
+/// Engine jobs for expanded cells: a registry lookup plus a
+/// self-contained run closure per cell (the driver constructs its own
+/// Simulation / ledger / RNG from the params, so cells never share
+/// simulator state). With a trace_dir, each job also writes a
+/// deterministic JSONL event trace to trace_path(trace_dir, index,
+/// label); each closure owns its file stream and sink, so parallel
+/// workers never share a sink.
 std::vector<Job> to_engine_jobs(const std::vector<SweepJob>& sjs,
-                                const std::string& trace_dir);
+                                const std::string& trace_dir = "");
 
 /// Parse the spec-file format described in the header comment.
 std::vector<SweepSpec> parse_spec(const std::string& text);

@@ -135,16 +135,21 @@ void ExtNode::on_round(Round r, std::span<const Delivery<Msg>> inbox,
 
 namespace {
 
-std::size_t payload_len_of(const RunConfig& cfg) {
-  return cfg.payload_bytes != 0
-             ? cfg.payload_bytes
-             : static_cast<std::size_t>(cfg.kappa_bits / 8);
+/// The Merkle tree committing to a slot's columns: leaf j binds column j
+/// to its index.
+merkle::Tree column_tree(const std::vector<std::vector<std::uint8_t>>& cols) {
+  std::vector<Digest> leaves(cols.size());
+  for (std::uint32_t j = 0; j < cols.size(); ++j) {
+    leaves[j] = merkle::leaf_hash(j, cols[j]);
+  }
+  return merkle::Tree::build(leaves);
 }
 
 /// The dispersal phase as a drive() family (runner/drive.hpp): 2 rounds
 /// per slot plus one drain round, its own adversary salt, and no named
-/// adversaries. The constructor encodes every slot's payload into the
-/// caller's `enc` and sizes the caller's `states`: both outlive the phase.
+/// adversaries. The constructor encodes every slot's payload_len-byte
+/// payload with threshold k into the caller's `enc` and sizes the
+/// caller's `states`: both outlive the phase.
 struct ExtFamily : FamilyDefaults {
   using Msg = ext::Msg;
   using Sim = ext::Sim;
@@ -166,12 +171,12 @@ struct ExtFamily : FamilyDefaults {
             << cfg.adversary << "'");
   }
 
-  ExtFamily(const RunConfig& cfg, std::vector<SlotEncoding>* enc,
-            std::vector<NodeState>* states) {
+  ExtFamily(const RunConfig& cfg, std::uint32_t k, std::size_t payload_len,
+            std::vector<SlotEncoding>* enc, std::vector<NodeState>* states) {
     ctx.sched = Schedule{2};
-    ctx.k = cfg.n - 2 * cfg.f;
+    ctx.k = k;
     ctx.slots = cfg.slots;
-    ctx.payload_len = payload_len_of(cfg);
+    ctx.payload_len = payload_len;
     ctx.chunk_len = rs::chunk_bytes(ctx.payload_len, ctx.k);
     // Deterministic pseudo-random payloads; the committed Value is the
     // payload's 64-bit fingerprint (the in-memory carrier convention).
@@ -187,11 +192,7 @@ struct ExtFamily : FamilyDefaults {
         }
       }
       e.chunks = rs::encode(e.payload, cfg.n, ctx.k);
-      std::vector<Digest> leaves(cfg.n);
-      for (std::uint32_t j = 0; j < cfg.n; ++j) {
-        leaves[j] = merkle::leaf_hash(j, e.chunks[j]);
-      }
-      const merkle::Tree tree = merkle::Tree::build(leaves);
+      const merkle::Tree tree = column_tree(e.chunks);
       e.root = tree.root();
       e.paths.resize(cfg.n);
       for (std::uint32_t j = 0; j < cfg.n; ++j) e.paths[j] = tree.prove(j);
@@ -255,9 +256,13 @@ RunResult run_extension(const RunConfig& cfg, const std::string& family) {
   disp.value_bits = cfg.kappa_bits;
   disp.input_for_slot = [&enc](Slot s) { return payload_fp64(enc[s].payload); };
   disp.input_with_log = nullptr;
-  RunResult res = drive<ExtFamily>(disp, {}, &enc, &states);
+  // Any k of the n columns rebuild a payload (ExtFamily::check, inside
+  // drive(), rejects 2f >= n before k is used).
   const std::uint32_t k = cfg.n - 2 * cfg.f;
-  const std::size_t payload_len = payload_len_of(cfg);
+  const std::size_t payload_len =
+      cfg.payload_bytes != 0 ? cfg.payload_bytes
+                             : static_cast<std::size_t>(cfg.kappa_bits / 8);
+  RunResult res = drive<ExtFamily>(disp, {}, k, payload_len, &enc, &states);
 
   // ---- Phase 2: digest + receipt votes over the base BB family. ----
   // Base slot b of ext slot s: sub = (b-1) % (n+1); sub 0 carries
@@ -316,13 +321,7 @@ RunResult run_extension(const RunConfig& cfg, const std::string& family) {
           if (cols.size() >= k) {
             const std::vector<std::uint8_t> payload =
                 rs::reconstruct(cols, cfg.n, k, payload_len);
-            const std::vector<std::vector<std::uint8_t>> re =
-                rs::encode(payload, cfg.n, k);
-            std::vector<Digest> leaves(cfg.n);
-            for (std::uint32_t j = 0; j < cfg.n; ++j) {
-              leaves[j] = merkle::leaf_hash(j, re[j]);
-            }
-            if (merkle::Tree::build(leaves).root() == *root) {
+            if (column_tree(rs::encode(payload, cfg.n, k)).root() == *root) {
               decided = payload_fp64(payload);
               outcome = "commit";
             }

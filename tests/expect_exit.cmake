@@ -1,0 +1,22 @@
+# Run a command and fail unless it exits with the code EXPECT:
+#
+#   cmake -DEXPECT=<code> -P expect_exit.cmake <command> [args...]
+#
+# ctest's own pass/fail only tells zero from non-zero; the tools' exit
+# codes distinguish a failed run (1) from bad input (2).
+set(cmd)
+set(after_script FALSE)
+foreach(i RANGE 1 ${CMAKE_ARGC})
+  if(i EQUAL CMAKE_ARGC)
+    break()
+  endif()
+  if(after_script)
+    list(APPEND cmd "${CMAKE_ARGV${i}}")
+  elseif(CMAKE_ARGV${i} STREQUAL CMAKE_SCRIPT_MODE_FILE)
+    set(after_script TRUE)
+  endif()
+endforeach()
+execute_process(COMMAND ${cmd} RESULT_VARIABLE rc)
+if(NOT rc STREQUAL EXPECT)
+  message(FATAL_ERROR "expected exit ${EXPECT}, got ${rc}: ${cmd}")
+endif()

@@ -221,7 +221,7 @@ TEST(Engine, PropertyViolationsInCompletedResultsAreSurfaced) {
       << out[0].violations[0];
 }
 
-TEST(Engine, AllowStallSkipsTerminationButNotSafetyChecks) {
+TEST(Engine, AllowStallRelaxesTerminationButNotSafetyChecks) {
   // Synthetic result: n=2, honest node 1 never commits slot 1 (a
   // termination violation and nothing else).
   auto stalled = []() {
@@ -248,6 +248,66 @@ TEST(Engine, AllowStallSkipsTerminationButNotSafetyChecks) {
   ASSERT_TRUE(lenient[0].completed);
   EXPECT_TRUE(lenient[0].violations.empty());
   EXPECT_FALSE(lenient[0].failed());
+  // The relaxed check still ran: its finding is reported, not dropped.
+  ASSERT_EQ(lenient[0].relaxed.size(), 1u);
+  EXPECT_EQ(lenient[0].relaxed[0].oracle, Oracle::kTermination);
+  EXPECT_EQ(lenient[0].relaxed[0].what, strict[0].violations[0]);
+}
+
+// Alg. 4 under async delays with a fuzz schedule: delayed honest senders
+// make 10 honest commits differ from the sender's input. The engine runs
+// the validity oracle either way; allow_invalid only decides whether the
+// findings are relaxed (reported) or violations (a failed job).
+TEST(Engine, AllowInvalidMovesValidityFindingsToRelaxed) {
+  CommonParams p;
+  p.n = 12;
+  p.f = 4;
+  p.slots = 3;
+  p.seed = 4;
+  p.adversary = "fuzz";
+  p.net = "async";
+  const Job relaxed = registry_job("linear", p, "async-relaxed");
+  ASSERT_TRUE(relaxed.allow_invalid);  // the shared rule, non-lockstep net
+  Job strict = relaxed;
+  strict.label = "async-strict";
+  strict.allow_invalid = false;
+
+  const auto out = Engine(2).run({relaxed, strict});
+  ASSERT_TRUE(out[0].completed) << out[0].error;
+  ASSERT_TRUE(out[1].completed) << out[1].error;
+  EXPECT_EQ(out[0].result.honest_bits, 623583u);
+
+  EXPECT_TRUE(out[0].violations.empty());
+  EXPECT_FALSE(out[0].failed());
+  std::vector<std::string> degraded;
+  for (const Finding& f : out[0].relaxed) {
+    if (f.oracle == Oracle::kValidity) degraded.push_back(f.what);
+  }
+  ASSERT_EQ(degraded.size(), 10u);
+
+  EXPECT_TRUE(out[1].failed());
+  EXPECT_EQ(out[1].violations, degraded);
+  for (const Finding& f : out[1].relaxed) {
+    EXPECT_NE(f.oracle, Oracle::kValidity) << f.what;
+  }
+}
+
+TEST(RelaxedOracles, OnlyNonLockstepNetsRelaxValidityAndSplits) {
+  const OracleRelaxation lin = relaxed_oracles(protocol("linear"), "none",
+                                               "lockstep");
+  EXPECT_FALSE(lin.allow_stall || lin.allow_invalid || lin.allow_split);
+  // A registry-known stall relaxes termination even in lockstep.
+  EXPECT_TRUE(
+      relaxed_oracles(protocol("hotstuff"), "selective", "lockstep")
+          .allow_stall);
+
+  const OracleRelaxation lin_async =
+      relaxed_oracles(protocol("linear"), "none", "async");
+  EXPECT_TRUE(lin_async.allow_stall && lin_async.allow_invalid);
+  EXPECT_FALSE(lin_async.allow_split);  // quorum intersection: always hard
+  const OracleRelaxation ds_async =
+      relaxed_oracles(protocol("dolev-strong"), "none", "bounded:2");
+  EXPECT_TRUE(ds_async.allow_split);  // consistency_needs_sync row
 }
 
 TEST(BenchJson, ZeroSlotAmortizedIsNaNEndToEnd) {

@@ -349,7 +349,7 @@ TEST(SweepToEngineJob, ClosureRunsTheRegistryDriverWithTheCellParams) {
   const auto sjs = expand(spec);
   ASSERT_EQ(sjs.size(), 1u);
 
-  const Job job = to_engine_job(sjs[0]);
+  const Job job = to_engine_jobs(sjs)[0];
   EXPECT_EQ(job.label, sjs[0].label);
   const RunResult r = job.run();
   EXPECT_EQ(r.n, 10u);
@@ -448,6 +448,21 @@ TEST(SpecParser, ErrorsCarryTheOffendingLine) {
                      "spec line 3: slots must be >= 1");
   expect_parse_error("sweep x\nprotocol quadratic\n\nslots-per-n 0\n",
                      "spec line 4: slots-per-n must be >= 1");
+  // A second token on a single-value key was silently dropped: this
+  // expanded to linear-only jobs.
+  expect_parse_error("sweep x\nprotocol linear dolev-strong\n",
+                     "spec line 2: 'protocol' takes one value, got 2");
+  const char* const single[] = {"f-frac 0.3 0.4", "slots-per-n 3 4",
+                                "reps 2 3",       "eps 0.1 0.2",
+                                "kappa 256 128",  "value-bits 64 32"};
+  for (const char* line : single) {
+    const std::string key(line, std::string(line).find(' '));
+    expect_parse_error(std::string("sweep x\nprotocol linear\nn 8\n") +
+                           line + "\n",
+                       "spec line 4: '" + key + "' takes one value, got 2");
+  }
+  expect_parse_error("sweep x\nprotocol linear\nf max 3\n",
+                     "spec line 3: 'f max' takes no further value");
 }
 
 TEST(SpecParser, PayloadKeyParsesAList) {

@@ -19,9 +19,9 @@
 //
 // Per-job failure isolation: a job that throws (AMBB_CHECK) or violates
 // a BB property is reported as a structured failure row — and an "error"
-// field in the json — instead of killing the sweep; the exit code is
-// non-zero iff any job failed.
-#include <chrono>
+// field in the json — instead of killing the sweep. The table, the json
+// and the exit code come from engine::report_campaign: 0 clean, 1 if any
+// job failed or violated a hard oracle, 2 on bad input or I/O failure.
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -35,7 +35,6 @@
 #include "engine/engine.hpp"
 #include "engine/report.hpp"
 #include "engine/sweep.hpp"
-#include "runner/table.hpp"
 
 namespace {
 
@@ -136,74 +135,10 @@ int main(int argc, char** argv) {
                    cli.trace_dir.c_str(), ec.message().c_str());
       return 2;
     }
+    std::printf("ambb_sweep: writing %zu event traces to %s/\n",
+                sweep_jobs.size(), cli.trace_dir.c_str());
   }
-
-  const engine::Engine eng(cli.common.jobs);
-  std::printf("ambb_sweep: %zu jobs on %u worker thread%s\n",
-              sweep_jobs.size(), eng.jobs(), eng.jobs() == 1 ? "" : "s");
-
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<engine::JobOutcome> outcomes =
-      eng.run(engine::to_engine_jobs(sweep_jobs, cli.trace_dir));
-  const double wall_ms_total = std::chrono::duration<double, std::milli>(
-                                   std::chrono::steady_clock::now() - t0)
-                                   .count();
-
-  std::vector<engine::RunRecord> records;
-  records.reserve(outcomes.size());
-  std::size_t violations = 0;
-  std::size_t failed_jobs = 0;
-  TextTable t({"run", "rounds", "honest bits", "adv bits", "amortized",
-               "wall ms", "status"});
-  for (const auto& out : outcomes) {
-    engine::RunRecord rec = engine::to_record(out);
-    std::string status = "ok";
-    if (!out.completed) {
-      status = "FAILED";
-      ++failed_jobs;
-    } else if (!out.violations.empty()) {
-      status = "VIOLATION";
-    }
-    t.add_row({rec.label, std::to_string(rec.rounds),
-               TextTable::bits_human(static_cast<double>(rec.honest_bits)),
-               TextTable::bits_human(static_cast<double>(rec.adversary_bits)),
-               TextTable::bits_human(rec.amortized),
-               TextTable::num(rec.wall_ms, 1), status});
-    violations += rec.violations;
-    records.push_back(std::move(rec));
-  }
-  std::printf("%s", t.render().c_str());
-
-  // Structured failure rows: what went wrong, per job, after the table.
-  for (const auto& out : outcomes) {
-    if (!out.completed) {
-      std::printf("!! %s did not complete: %s\n", out.label.c_str(),
-                  out.error.c_str());
-    } else if (!out.violations.empty()) {
-      std::printf("!! %s: %zu property violations (first: %s)\n",
-                  out.label.c_str(), out.violations.size(),
-                  out.violations[0].c_str());
-    }
-  }
-
-  const std::string path = "BENCH_" + cli.common.out + ".json";
-  if (engine::write_bench_json(path, cli.common.out, records, violations,
-                               eng.jobs(), wall_ms_total)) {
-    std::printf("wrote %s (%zu runs, %u threads, %.1f ms total)\n",
-                path.c_str(), records.size(), eng.jobs(), wall_ms_total);
-    if (!cli.trace_dir.empty()) {
-      std::printf("wrote %zu event traces to %s/\n", sweep_jobs.size(),
-                  cli.trace_dir.c_str());
-    }
-  } else {
-    std::fprintf(stderr, "ambb_sweep: could not write %s\n", path.c_str());
-    return 2;
-  }
-
-  if (violations != 0 || failed_jobs != 0) {
-    std::printf("!! %zu violations, %zu failed jobs — failing the sweep\n",
-                violations, failed_jobs);
-    return 1;
-  }
-  return 0;
+  return engine::run_campaign(
+      "ambb_sweep", cli.common.out,
+      engine::to_engine_jobs(sweep_jobs, cli.trace_dir), cli.common.jobs);
 }

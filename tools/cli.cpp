@@ -42,6 +42,16 @@ bool parse_u64_strict(const char* v, std::uint64_t* out) {
 
 }  // namespace
 
+bool parse_u32(const char* text, std::uint32_t* out) {
+  std::uint64_t v = 0;
+  if (!parse_u64_strict(text, &v) ||
+      v > std::numeric_limits<std::uint32_t>::max()) {
+    return false;
+  }
+  *out = static_cast<std::uint32_t>(v);
+  return true;
+}
+
 bool Parser::to_u64(std::uint64_t* out) {
   const char* v = value();
   if (v == nullptr) return false;

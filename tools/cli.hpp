@@ -62,6 +62,11 @@ class Parser {
   std::string arg_;
 };
 
+/// Strict number parse, the numeric flags' rule, for text outside argv
+/// (AMBB_BENCH_JOBS): digits only (no sign, space or suffix),
+/// range-checked. False on anything else.
+bool parse_u32(const char* text, std::uint32_t* out);
+
 /// Which of the uniform flags a tool accepts.
 enum : unsigned {
   kJobs = 1u << 0,
