@@ -1,7 +1,7 @@
-// Shared helpers for the benchmark harnesses. Each bench binary
-// regenerates one artifact of the paper (Table 1 or a quantitative claim
-// from Sections 4.2/5.1/5.4/Appendix A — DESIGN.md's experiment index),
-// printing the measured rows next to the paper's asymptotic prediction.
+// Shared helpers for the experiments that do not fit the sweep grammar
+// (F1's prefix averages of one long run, F6's expander construction and
+// payload crossover — DESIGN.md's experiment index); every other paper
+// artifact is a tools/specs/*.spec grid run by ambb_sweep.
 // Wall-clock performance is measured by perfbench/, not here.
 //
 // Job execution is delegated to the experiment engine (src/engine/):
@@ -30,7 +30,6 @@
 #include "engine/engine.hpp"
 #include "engine/report.hpp"
 #include "engine/sweep.hpp"
-#include "runner/fit.hpp"
 #include "runner/registry.hpp"
 #include "runner/result.hpp"
 #include "runner/table.hpp"
@@ -52,8 +51,7 @@ struct BenchState {
   /// Failed checks made outside the engine (expander quality, the
   /// payload crossover); they fail the bench like a violation.
   std::size_t failed_checks = 0;
-  unsigned jobs = 0;     ///< AMBB_BENCH_JOBS (0 = one per hardware thread)
-  unsigned threads = 1;  ///< worker-pool size of the last run_jobs call
+  unsigned jobs = 0;  ///< AMBB_BENCH_JOBS (0 = one per hardware thread)
   std::chrono::steady_clock::time_point start =
       std::chrono::steady_clock::now();
 };
@@ -68,7 +66,6 @@ inline BenchState& state() {
 /// RunResult and are reported as failure rows (non-zero exit).
 inline std::vector<RunResult> run_jobs(const std::vector<Job>& jobs) {
   const engine::Engine eng(state().jobs);
-  state().threads = eng.jobs();
   std::vector<RunResult> results;
   results.reserve(jobs.size());
   for (engine::JobOutcome& out : eng.run(jobs)) {
@@ -105,8 +102,10 @@ inline int bench_main(int argc, char** argv, const char* name,
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - st.start)
           .count();
-  return engine::report_campaign(name, st.outcomes, st.threads,
-                                 wall_ms_total, st.failed_checks);
+  // run_jobs and engine::parallel_map both size their pool by st.jobs.
+  return engine::report_campaign(name, st.outcomes,
+                                 engine::resolve_jobs(st.jobs), wall_ms_total,
+                                 st.failed_checks);
 }
 
 }  // namespace ambb::bench

@@ -2,8 +2,8 @@
 """Compare the measurement fields of two BENCH_*.json files by run label.
 
 Used by the perf-smoke lane in scripts/ci.sh: a freshly generated bench
-JSON (typically an AMBB_F2_SMOKE=1 subset) is diffed against the committed
-golden. Runs are matched by label; labels present in only one file are
+JSON (typically a --filter subset of tools/specs/f2_scaling.spec) is
+diffed against the committed golden. Runs are matched by label; labels present in only one file are
 skipped (the smoke subset is a strict subset of the golden sweep), but at
 least one label must match. Every MEASUREMENT field must be bit-identical
 — these are deterministic outputs of the simulation and may never drift
@@ -32,6 +32,8 @@ MEASUREMENT_FIELDS = [
     "erasures",
     "corruptions",
     "violations",
+    "per_kind_bits",
+    "metric_bits_per_slot",
 ]
 
 

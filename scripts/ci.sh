@@ -7,7 +7,7 @@
 #                          # sweep --trace-dir smoke run
 #   scripts/ci.sh tsan     # only the TSan build + `ctest -L "engine|ext|arena|sched"`
 #   scripts/ci.sh asan     # only the ASan+UBSan build + `ctest -L "adversary|engine|ext|arena|sched"`
-#   scripts/ci.sh perf_smoke  # bench_f2_scaling smoke rows vs the
+#   scripts/ci.sh perf_smoke  # f2_scaling.spec smoke rows vs the
 #                             # committed BENCH_f2_scaling.json
 #
 # The TSan stage rebuilds into build-tsan/ (see CMakePresets.json) and runs
@@ -44,10 +44,10 @@
 # ASan exists to check.
 #
 # The perf_smoke stage is the measurement-drift gate for the zero-copy
-# hot path: it runs bench_f2_scaling in AMBB_F2_SMOKE=1 mode (one small-n
-# row per series) and diffs every measurement
-# field against the committed BENCH_f2_scaling.json by run label
-# (scripts/check_bench_fields.py). Wall-clock and ns_* fields are
+# hot path: it runs tools/specs/f2_scaling.spec filtered to the smallest
+# n of each block (so every slope prints "skipped") and diffs every
+# measurement field against the committed BENCH_f2_scaling.json by run
+# label (scripts/check_bench_fields.py). Wall-clock and ns_* fields are
 # excluded: the gate catches semantic drift, not machine noise.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -74,7 +74,7 @@ trace() {
   dir="$(mktemp -d)"
   (cd "$dir" && "$OLDPWD/build/tools/ambb_sweep" \
       --spec "$OLDPWD/tools/specs/f2_scaling.spec" \
-      --filter alg4 --trace-dir traces)
+      --filter '^alg4/mixed/n(24|32|48|64)$' --trace-dir traces)
   ls "$dir"/traces/*.jsonl >/dev/null
   echo "== trace: payload-scaling sweep smoke =="
   (cd "$dir" && "$OLDPWD/build/tools/ambb_sweep" \
@@ -105,11 +105,13 @@ asan() {
 perf_smoke() {
   echo "== perf_smoke: configure + build =="
   cmake --preset default
-  cmake --build --preset default -j "$jobs" --target bench_f2_scaling
-  echo "== perf_smoke: bench_f2_scaling (AMBB_F2_SMOKE=1) =="
+  cmake --build --preset default -j "$jobs" --target ambb_sweep
+  echo "== perf_smoke: f2_scaling.spec, smallest n per block =="
   local dir
   dir="$(mktemp -d)"
-  (cd "$dir" && AMBB_F2_SMOKE=1 "$OLDPWD/build/bench/bench_f2_scaling")
+  (cd "$dir" && "$OLDPWD/build/tools/ambb_sweep" \
+      --spec "$OLDPWD/tools/specs/f2_scaling.spec" --out f2_scaling \
+      --filter '^(alg4|mr-baseline)/mixed/n24$|/n1[02]$')
   echo "== perf_smoke: measurement-field diff vs committed golden =="
   python3 scripts/check_bench_fields.py \
       BENCH_f2_scaling.json "$dir/BENCH_f2_scaling.json"

@@ -16,6 +16,7 @@ std::vector<JobOutcome> Engine::run(const std::vector<Job>& jobs) const {
     const Job& job = jobs[i];
     JobOutcome out;
     out.label = job.label;
+    out.metric = job.metric;
     const auto t0 = std::chrono::steady_clock::now();
     try {
       out.result = job.run();

@@ -98,6 +98,14 @@ struct Finding {
   std::string what;
 };
 
+/// A per-slot cost reported beside a run (the sweep key "metric"): honest
+/// bits per slot over slots (from, L], RunResult::amortized_tail(from).
+/// An empty name reports none.
+struct CostMetric {
+  std::string name;
+  Slot from = 0;
+};
+
 /// One independent experiment: a self-contained driver closure. The
 /// closure must own (or construct) everything it touches — the engine
 /// guarantees it is invoked exactly once, possibly on another thread.
@@ -121,6 +129,8 @@ struct Job {
   /// this; for them consistency is the hard oracle under every network
   /// model.
   bool allow_split = false;
+  /// Copied to the outcome, which the report evaluates and writes.
+  CostMetric metric = {};
 };
 
 /// What became of one job. Exactly one of {completed, error} is
@@ -138,6 +148,7 @@ struct JobOutcome {
   /// Findings of the checks the job's allow_* flags relax (a stall, a
   /// degraded validity, a consistency split): reported, not failures.
   std::vector<Finding> relaxed;
+  CostMetric metric;  ///< the job's, unevaluated
 
   bool failed() const { return !completed || !violations.empty(); }
 };

@@ -5,7 +5,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 
+#include "runner/fit.hpp"
 #include "runner/table.hpp"
 
 namespace ambb::engine {
@@ -73,6 +75,12 @@ RunRecord to_record(const JobOutcome& outcome) {
   rec.honest_bits = r.honest_bits;
   rec.adversary_bits = r.adversary_bits;
   rec.amortized = r.amortized();
+  rec.metric = outcome.metric.name;
+  if (!rec.metric.empty()) {
+    rec.metric_bits = r.amortized_tail(outcome.metric.from);
+  }
+  rec.kind_names = r.kind_names;
+  rec.per_kind_bits = r.per_kind_bits;
   rec.stats = r.stats_summary();
   return rec;
 }
@@ -101,6 +109,11 @@ std::string render_bench_json(const std::string& bench_name,
     json += ", \"honest_bits\": " + std::to_string(r.honest_bits);
     json += ", \"adversary_bits\": " + std::to_string(r.adversary_bits);
     json += ", \"amortized_bits_per_slot\": " + json_number(r.amortized);
+    if (!r.metric.empty()) {
+      json += ", \"metric\": \"";
+      json_escape_into(json, r.metric);
+      json += "\", \"metric_bits_per_slot\": " + json_number(r.metric_bits);
+    }
     json += ", \"wall_ms\": " + fixed3(r.wall_ms);
     json += ", \"records\": " + std::to_string(r.stats.records);
     json += ", \"deliveries\": " + std::to_string(r.stats.deliveries);
@@ -113,6 +126,13 @@ std::string render_bench_json(const std::string& bench_name,
     json += ", \"ns_delivery\": " + std::to_string(r.stats.ns_delivery);
     json += ", \"activations\": " + std::to_string(r.stats.activations);
     json += ", \"violations\": " + std::to_string(r.violations);
+    json += ", \"per_kind_bits\": {";
+    for (std::size_t k = 0; k < r.kind_names.size(); ++k) {
+      json += k == 0 ? "\"" : ", \"";
+      json_escape_into(json, r.kind_names[k]);
+      json += "\": " + std::to_string(r.per_kind_bits[k]);
+    }
+    json += "}";
     if (!r.error.empty()) {
       json += ", \"error\": \"";
       json_escape_into(json, r.error);
@@ -126,7 +146,8 @@ std::string render_bench_json(const std::string& bench_name,
 
 int report_campaign(const std::string& name,
                     const std::vector<JobOutcome>& outcomes, unsigned threads,
-                    double wall_ms_total, std::size_t extra_violations) {
+                    double wall_ms_total, std::size_t extra_violations,
+                    const std::vector<SlopeCheck>& slopes) {
   const bool inject = std::getenv("AMBB_BENCH_INJECT_VIOLATION") != nullptr;
   std::vector<RunRecord> records;
   records.reserve(outcomes.size());
@@ -182,6 +203,25 @@ int report_campaign(const std::string& name,
   }
   if (!records.empty()) std::printf("%s", t.render().c_str());
   std::printf("%s", notes.c_str());
+  for (const SlopeCheck& c : slopes) {
+    std::vector<double> ns, costs;
+    for (std::size_t i : c.runs) {
+      if (!(records[i].metric_bits > 0)) continue;  // a failed run, or nan
+      ns.push_back(records[i].n);
+      costs.push_back(records[i].metric_bits);
+    }
+    const std::set<double> distinct(ns.begin(), ns.end());
+    if (distinct.size() < 2) {
+      std::printf("slope %s: skipped (fewer than two n)\n", c.name.c_str());
+      continue;
+    }
+    const double slope = loglog_slope(ns, costs);
+    const bool ok = slope >= c.lo && slope <= c.hi;
+    if (!ok) ++violations;
+    std::printf("%sslope %s: %.2f over n %.0f..%.0f, %s [%.2f, %.2f]\n",
+                ok ? "" : "!! ", c.name.c_str(), slope, *distinct.begin(),
+                *distinct.rbegin(), ok ? "expect" : "outside", c.lo, c.hi);
+  }
   if (relaxed_runs != std::array<std::size_t, 3>{} || deferred != 0) {
     std::printf("relaxed oracles over %zu runs: %zu with degraded validity, "
                 "%zu with consistency splits, %zu stalled; %llu deliveries "
@@ -217,7 +257,8 @@ int report_campaign(const std::string& name,
 }
 
 int run_campaign(const char* tool, const std::string& name,
-                 const std::vector<Job>& jobs, unsigned workers) {
+                 const std::vector<Job>& jobs, unsigned workers,
+                 const std::vector<SlopeCheck>& slopes) {
   const Engine eng(workers);
   std::printf("%s: %zu jobs on %u worker thread%s\n", tool, jobs.size(),
               eng.jobs(), eng.jobs() == 1 ? "" : "s");
@@ -226,7 +267,8 @@ int run_campaign(const char* tool, const std::string& name,
   const double wall_ms_total = std::chrono::duration<double, std::milli>(
                                    std::chrono::steady_clock::now() - t0)
                                    .count();
-  return report_campaign(name, outcomes, eng.jobs(), wall_ms_total);
+  return report_campaign(name, outcomes, eng.jobs(), wall_ms_total, 0,
+                         slopes);
 }
 
 }  // namespace ambb::engine

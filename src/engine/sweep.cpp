@@ -108,6 +108,15 @@ std::vector<SweepJob> expand(const SweepSpec& spec) {
       AMBB_CHECK_MSG(f < n, "sweep '" << spec.name << "': f=" << f
                                       << " >= n=" << n);
       for (Slot L : slots) {
+        CostMetric metric;
+        if (!spec.metric.empty()) {
+          const std::uint64_t from = *metric_from(spec.metric, n, L);
+          AMBB_CHECK_MSG(from < L, "sweep '" << spec.name << "': metric '"
+                                             << spec.metric << "' at n=" << n
+                                             << " leaves none of the " << L
+                                             << " slots");
+          metric = CostMetric{spec.metric, static_cast<Slot>(from)};
+        }
         // An empty payload list is the off-axis sentinel {0}.
         const std::vector<std::uint64_t> payloads =
             spec.payloads.empty() ? std::vector<std::uint64_t>{0}
@@ -132,6 +141,7 @@ std::vector<SweepJob> expand(const SweepSpec& spec) {
                   sj.allow_stall = relax.allow_stall;
                   sj.allow_invalid = relax.allow_invalid;
                   sj.allow_split = relax.allow_split;
+                  sj.metric = metric;
                   sj.params.n = n;
                   sj.params.f = f;
                   sj.params.slots = L;
@@ -174,20 +184,48 @@ std::vector<SweepJob> expand(const SweepSpec& spec) {
 
 std::vector<SweepJob> expand_all(const std::vector<SweepSpec>& specs) {
   std::vector<SweepJob> out;
-  for (const auto& s : specs) {
-    auto jobs = expand(s);
-    out.insert(out.end(), std::make_move_iterator(jobs.begin()),
-               std::make_move_iterator(jobs.end()));
+  for (std::size_t b = 0; b < specs.size(); ++b) {
+    for (SweepJob& j : expand(specs[b])) {
+      j.block = b;
+      out.push_back(std::move(j));
+    }
   }
   return out;
 }
 
+std::optional<std::uint64_t> metric_from(const std::string& metric,
+                                         std::uint32_t n, Slot L) {
+  if (metric == "amortized") return 0;
+  if (metric == "tail L/2") return L / 2;
+  if (metric.rfind("tail ", 0) != 0) return std::nullopt;
+  std::string k = metric.substr(5);
+  const bool per_n = !k.empty() && k.back() == 'n';
+  if (per_n) k.pop_back();
+  if (k.empty() || k.size() > 9 ||
+      k.find_first_not_of("0123456789") != std::string::npos ||
+      std::stoul(k) == 0) {
+    return std::nullopt;
+  }
+  return std::stoul(k) * (per_n ? n : 1);
+}
+
 std::vector<SweepJob> filter_jobs(std::vector<SweepJob> jobs,
-                                  const std::string& needle) {
-  if (needle.empty()) return jobs;
-  std::vector<SweepJob> out;
-  for (auto& j : jobs) {
-    if (j.label.find(needle) != std::string::npos) out.push_back(std::move(j));
+                                  const std::string& pattern) {
+  const auto keep = label_filter(pattern);
+  std::erase_if(jobs, [&keep](const SweepJob& j) { return !keep(j.label); });
+  return jobs;
+}
+
+std::vector<SlopeCheck> slope_checks(const std::vector<SweepSpec>& specs,
+                                     const std::vector<SweepJob>& jobs) {
+  std::vector<SlopeCheck> out;
+  for (std::size_t b = 0; b < specs.size(); ++b) {
+    if (!specs[b].expect_slope) continue;
+    const auto [lo, hi] = *specs[b].expect_slope;
+    out.push_back(SlopeCheck{specs[b].name, {}, lo, hi});
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      if (jobs[i].block == b) out.back().runs.push_back(i);
+    }
   }
   return out;
 }
@@ -228,7 +266,7 @@ std::vector<Job> to_engine_jobs(const std::vector<SweepJob>& sjs,
       };
     }
     out.push_back(Job{sj.label, std::move(run), sj.allow_stall,
-                      sj.allow_invalid, sj.allow_split});
+                      sj.allow_invalid, sj.allow_split, sj.metric});
   }
   return out;
 }
@@ -307,7 +345,8 @@ void parse_f_frac(const std::string& tok, int lineno, SweepSpec* cur) {
 
 std::vector<SweepSpec> parse_spec(const std::string& text) {
   std::vector<SweepSpec> specs;
-  std::vector<int> spec_lines;  // line of each block's 'sweep' key
+  std::vector<int> spec_lines;    // line of each block's 'sweep' key
+  std::vector<int> expect_lines;  // line of its 'expect' key, if any
   SweepSpec* cur = nullptr;
 
   std::istringstream is(text);
@@ -325,6 +364,7 @@ std::vector<SweepSpec> parse_spec(const std::string& text) {
                                               << ": 'sweep' needs one name");
       specs.emplace_back();
       spec_lines.push_back(lineno);
+      expect_lines.push_back(0);
       cur = &specs.back();
       cur->name = toks[1];
       continue;
@@ -405,6 +445,25 @@ std::vector<SweepSpec> parse_spec(const std::string& text) {
       for (std::size_t i = 1; i < toks.size(); ++i) {
         parse_net_policy(toks[i]);  // fail on the offending line, not later
       }
+    } else if (key == "metric") {
+      cur->metric = toks[1];
+      for (std::size_t i = 2; i < toks.size(); ++i) {
+        cur->metric += " " + toks[i];
+      }
+      AMBB_CHECK_MSG(metric_from(cur->metric, 1, 1),
+                     "spec line " << lineno << ": bad metric '" << cur->metric
+                                  << "' (amortized | tail <k> | tail <k>n | "
+                                     "tail L/2, k >= 1)");
+    } else if (key == "expect") {
+      AMBB_CHECK_MSG(nargs == 3 && toks[1] == "slope",
+                     "spec line " << lineno
+                                  << ": 'expect' takes 'slope LO HI'");
+      const auto lo = parse_num<double>(toks[2], lineno);
+      const auto hi = parse_num<double>(toks[3], lineno);
+      AMBB_CHECK_MSG(lo <= hi, "spec line " << lineno << ": slope range "
+                                            << lo << " > " << hi);
+      cur->expect_slope = std::array<double, 2>{lo, hi};
+      expect_lines.back() = lineno;
     } else {
       AMBB_CHECK_MSG(false,
                      "spec line " << lineno << ": unknown key '" << key << "'");
@@ -415,6 +474,28 @@ std::vector<SweepSpec> parse_spec(const std::string& text) {
                    "spec line " << spec_lines[i] << ": sweep '"
                                 << specs[i].name
                                 << "' has no 'protocol' key");
+    // A slope is fitted against n alone: every other axis holds one value.
+    const SweepSpec& sp = specs[i];
+    if (!sp.expect_slope) continue;
+    AMBB_CHECK_MSG(!sp.metric.empty(), "spec line "
+                                           << expect_lines[i]
+                                           << ": 'expect slope' needs a "
+                                              "'metric' key");
+    const std::pair<const char*, bool> axes[] = {
+        {"f", !sp.f_max && sp.f_frac_den == 0 && sp.fs.size() > 1},
+        {"slots", sp.slots_per_n == 0 && sp.slots_list.size() > 1},
+        {"adversary", sp.adversaries.size() > 1},
+        {"payload", sp.payloads.size() > 1},
+        {"net", sp.nets.size() > 1},
+        {"seeds", sp.seed_begin != sp.seed_end},
+        {"reps", sp.repetitions > 1}};
+    for (const auto& [axis, varies] : axes) {
+      AMBB_CHECK_MSG(!varies, "spec line " << expect_lines[i]
+                                           << ": 'expect slope' fits against "
+                                              "n, but '"
+                                           << axis
+                                           << "' has more than one value");
+    }
   }
   return specs;
 }

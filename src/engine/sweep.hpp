@@ -35,17 +35,29 @@
 //                              #   Non-lockstep cells relax the
 //                              #   synchrony-conditional oracles
 //                              #   (relaxed_oracles below)
+//   metric tail 2n             # per-slot cost written beside each run:
+//                              #   amortized | tail <k> | tail <k>n |
+//                              #   tail L/2 = honest bits per slot over
+//                              #   slots (from, L], from = 0, k, k*n, L/2
+//   expect slope 0.7 1.6       # log-log slope of the metric against n
+//                              #   must lie in [LO, HI], else the run
+//                              #   fails; needs a metric, and nothing
+//                              #   but n may take more than one value
 //
 // Blank lines between blocks are optional; later keys override earlier
 // ones within a block. Malformed input throws CheckError with the
 // offending line number.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "engine/engine.hpp"
+#include "engine/report.hpp"
 #include "runner/registry.hpp"
 
 namespace ambb::engine {
@@ -92,6 +104,12 @@ struct SweepSpec {
   /// Each entry must parse (parse_net_policy). A cell's oracle
   /// relaxations follow from its net and adversary (relaxed_oracles).
   std::vector<std::string> nets;
+
+  /// Cost metric ("metric" key; empty = none), as metric_from() reads it.
+  std::string metric;
+  /// "expect slope LO HI": bounds on the log-log slope of the metric
+  /// against n (report_campaign fits and checks it).
+  std::optional<std::array<double, 2>> expect_slope;
 };
 
 /// One expanded cell: everything needed to run and label it.
@@ -103,6 +121,8 @@ struct SweepJob {
   bool allow_stall = false;
   bool allow_invalid = false;
   bool allow_split = false;
+  CostMetric metric;      ///< the spec's metric at this cell's (n, L)
+  std::size_t block = 0;  ///< index of its spec in expand_all's input
 };
 
 /// The oracle-relaxation rule: which Definition-2 checks a run of `info`
@@ -140,9 +160,26 @@ std::vector<SweepJob> expand(const SweepSpec& spec);
 /// Expansion of several specs back to back (label order = spec order).
 std::vector<SweepJob> expand_all(const std::vector<SweepSpec>& specs);
 
-/// Keep only jobs whose label contains `needle` (empty keeps everything).
+/// Start of the tail window `metric` averages over at (n, L), or nullopt
+/// unless it reads amortized (0), "tail <k>" (k), "tail <k>n" (k*n) or
+/// "tail L/2" (L/2), k >= 1.
+std::optional<std::uint64_t> metric_from(const std::string& metric,
+                                         std::uint32_t n, Slot L);
+
+/// The --filter rule of every tool: ECMAScript regex search on a label
+/// (so a plain substring keeps its meaning; empty matches everything).
+/// Throws CheckError on an invalid regex.
+std::function<bool(const std::string&)> label_filter(
+    const std::string& pattern);
+
+/// Keep only jobs whose label matches label_filter(pattern).
 std::vector<SweepJob> filter_jobs(std::vector<SweepJob> jobs,
-                                  const std::string& needle);
+                                  const std::string& pattern);
+
+/// One SlopeCheck per spec with "expect slope", over the `jobs` (indices
+/// into that vector) of its block.
+std::vector<SlopeCheck> slope_checks(const std::vector<SweepSpec>& specs,
+                                     const std::vector<SweepJob>& jobs);
 
 /// Trace file path for job `index` of a sweep: "<dir>/NNNN_<label>.jsonl"
 /// with the submission index zero-padded and every label character

@@ -343,5 +343,33 @@ TEST(BenchJson, NonFiniteAmortizedRendersAsStructuredNull) {
             std::string::npos);
 }
 
+TEST(BenchJson, PerKindBitsAndTheMetricReachTheRow) {
+  JobOutcome out;
+  out.label = "k";
+  out.completed = true;
+  out.result.slots = 2;
+  out.result.per_slot_bits = {0, 10, 30};
+  out.result.kind_names = {"prop", "accuse"};
+  out.result.per_kind_bits = {25, 15};
+  out.metric = CostMetric{"tail 1", 1};
+  const RunRecord rec = to_record(out);
+  EXPECT_EQ(rec.metric_bits, 30.0);
+  const std::string json = render_bench_json("t", {rec}, 0, 1, 0.0);
+  EXPECT_NE(json.find("\"schema_version\": 3"), std::string::npos);
+  EXPECT_NE(json.find("\"metric\": \"tail 1\", "
+                      "\"metric_bits_per_slot\": 30.000"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"per_kind_bits\": {\"prop\": 25, \"accuse\": 15}"),
+            std::string::npos)
+      << json;
+
+  // No metric: no metric keys, and per_kind_bits still present.
+  out.metric = CostMetric{};
+  const std::string plain = render_bench_json("t", {to_record(out)}, 0, 1, 0.0);
+  EXPECT_EQ(plain.find("\"metric"), std::string::npos);
+  EXPECT_NE(plain.find("\"per_kind_bits\": {"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace ambb::engine

@@ -4,7 +4,9 @@
 // parse errors.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -339,6 +341,96 @@ TEST(SweepFilter, SubstringOnLabelsEmptyKeepsAll) {
   EXPECT_TRUE(filter_jobs(jobs, "no-match").empty());
 }
 
+TEST(SweepFilter, PatternIsAnEcmaScriptRegexSearch) {
+  SweepSpec spec;
+  spec.name = "flt";
+  spec.protocol = "dolev-strong";
+  spec.ns = {8, 12, 18};
+  spec.fs = {1};
+  spec.adversaries = {"none", "stagger"};
+  const auto jobs = expand(spec);
+  ASSERT_EQ(jobs.size(), 6u);
+
+  const auto ends = filter_jobs(jobs, "/n(8|18)$");
+  ASSERT_EQ(ends.size(), 4u);
+  EXPECT_EQ(ends[0].label, "flt/none/n8");
+  EXPECT_EQ(ends[3].label, "flt/stagger/n18");
+  EXPECT_EQ(filter_jobs(jobs, "^flt/stagger/n1").size(), 2u);
+  EXPECT_TRUE(filter_jobs(jobs, "^stagger").empty());  // anchored
+}
+
+TEST(SweepFilter, InvalidRegexThrowsNamingThePattern) {
+  SweepSpec spec;
+  spec.protocol = "phase-king";
+  try {
+    filter_jobs(expand(spec), "n(1");
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("--filter 'n(1' is not a valid regex"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(label_filter("[a-"), CheckError);
+}
+
+TEST(SweepMetric, WindowsAndExpansion) {
+  EXPECT_EQ(metric_from("amortized", 24, 72), 0u);
+  EXPECT_EQ(metric_from("tail 4", 24, 72), 4u);
+  EXPECT_EQ(metric_from("tail 2n", 24, 72), 48u);
+  EXPECT_EQ(metric_from("tail L/2", 24, 72), 36u);
+  for (const char* bad : {"tail 0", "tail xn", "tail L/3", "tail", "tail n",
+                          "tail 0n", "median", "tail 4 5", "tail -1"}) {
+    EXPECT_FALSE(metric_from(bad, 24, 72)) << bad;
+  }
+
+  const auto specs = parse_spec(
+      "sweep m\nprotocol quadratic\nn 4 6\nf 1\nslots-per-n 3\n"
+      "metric tail 2n\nexpect slope 1 2.5\n");
+  ASSERT_EQ(specs.size(), 1u);
+  EXPECT_EQ(specs[0].metric, "tail 2n");
+  ASSERT_TRUE(specs[0].expect_slope);
+  EXPECT_EQ((*specs[0].expect_slope)[1], 2.5);
+  const auto jobs = expand_all(specs);
+  ASSERT_EQ(jobs.size(), 2u);
+  EXPECT_EQ(jobs[1].metric.name, "tail 2n");
+  EXPECT_EQ(jobs[1].metric.from, Slot{12});
+  EXPECT_EQ(to_engine_jobs(jobs)[1].metric.from, Slot{12});
+
+  const auto checks = slope_checks(specs, filter_jobs(jobs, "n6"));
+  ASSERT_EQ(checks.size(), 1u);
+  EXPECT_EQ(checks[0].name, "m");
+  EXPECT_EQ(checks[0].runs, std::vector<std::size_t>{0});
+  EXPECT_EQ(checks[0].hi, 2.5);
+
+  // A window that leaves no slot to average fails at expansion.
+  SweepSpec spec = specs[0];
+  spec.metric = "tail 3n";
+  EXPECT_THROW(expand(spec), CheckError);
+}
+
+TEST(SweepSpecFiles, EveryCheckedInSpecParsesAndExpands) {
+  // Blocks / jobs per tools/specs/*.spec; a new spec file must be added.
+  const std::map<std::string, std::pair<std::size_t, std::size_t>> want = {
+      {"f2_scaling.spec", {5, 23}},      {"table1.spec", {6, 12}},
+      {"f3_adversaries.spec", {1, 7}},   {"f4_hotstuff.spec", {2, 2}},
+      {"f5_trustcast.spec", {1, 10}},    {"a1_ablation.spec", {4, 24}},
+      {"payload_scaling.spec", {4, 16}}, {"worst_sched.spec", {7, 14}}};
+  std::size_t seen = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(AMBB_SPECS_DIR)) {
+    const std::string file = entry.path().filename().string();
+    ASSERT_TRUE(want.count(file)) << "no expected counts for " << file;
+    std::ifstream in(entry.path());
+    std::stringstream ss;
+    ss << in.rdbuf();
+    const auto specs = parse_spec(ss.str());
+    EXPECT_EQ(specs.size(), want.at(file).first) << file;
+    EXPECT_EQ(expand_all(specs).size(), want.at(file).second) << file;
+    ++seen;
+  }
+  EXPECT_EQ(seen, want.size());
+}
+
 TEST(SweepToEngineJob, ClosureRunsTheRegistryDriverWithTheCellParams) {
   SweepSpec spec;
   spec.protocol = "phase-king";
@@ -463,6 +555,36 @@ TEST(SpecParser, ErrorsCarryTheOffendingLine) {
   }
   expect_parse_error("sweep x\nprotocol linear\nf max 3\n",
                      "spec line 3: 'f max' takes no further value");
+
+  // The cost metric and its slope check.
+  const std::string head = "sweep x\nprotocol linear\nn 8 16\n";
+  for (const char* metric :
+       {"median", "tail 0", "tail xn", "tail L/3", "tail 4 5"}) {
+    expect_parse_error(head + "metric " + metric + "\n",
+                       std::string("spec line 4: bad metric '") + metric);
+  }
+  expect_parse_error(head + "metric amortized\nexpect slope 2 1\n",
+                     "spec line 5: slope range 2 > 1");
+  expect_parse_error(head + "metric amortized\nexpect slope 1 2 3\n",
+                     "spec line 5: 'expect' takes 'slope LO HI'");
+  expect_parse_error(head + "metric amortized\nexpect slop 1 2\n",
+                     "spec line 5: 'expect' takes 'slope LO HI'");
+  expect_parse_error(head + "expect slope 1 2\n",
+                     "spec line 4: 'expect slope' needs a 'metric' key");
+  const char* const axes[][2] = {{"f 2 3", "f"},
+                                 {"slots 4 8", "slots"},
+                                 {"adversary none mixed", "adversary"},
+                                 {"payload 64 128", "payload"},
+                                 {"net lockstep async", "net"},
+                                 {"seeds 1 2", "seeds"},
+                                 {"reps 2", "reps"}};
+  for (const auto& [line, axis] : axes) {
+    expect_parse_error(head + "metric amortized\nexpect slope 1 2\n" +
+                           line + "\n",
+                       std::string("spec line 5: 'expect slope' fits against "
+                                   "n, but '") +
+                           axis + "' has more than one value");
+  }
 }
 
 TEST(SpecParser, PayloadKeyParsesAList) {

@@ -3,7 +3,7 @@
 //
 //   ambb_fuzz [--schedules K] [--protocol NAME] [--n N] [--slots L]
 //             [--seed S] [--jobs N] [--net POLICY] [--out NAME]
-//             [--filter SUBSTR] [--list]
+//             [--filter REGEX] [--list]
 //
 //   --schedules K    schedules per protocol (default 30)
 //   --protocol NAME  fuzz only this registry protocol (default: all)
@@ -24,7 +24,8 @@
 //                    counted and reported per run, without failing the
 //                    campaign.
 //   --out NAME       write BENCH_<NAME>.json (default: fuzz)
-//   --filter SUBSTR  keep only jobs whose label contains SUBSTR
+//   --filter REGEX   keep only jobs whose label matches the ECMAScript
+//                    regex (engine::label_filter, as in ambb_sweep)
 //   --list           print the job labels and exit
 //
 // Every job runs the protocol under a "fuzz" adversary: a seeded random
@@ -72,7 +73,7 @@ void usage(std::FILE* to) {
   std::fprintf(to,
                "usage: ambb_fuzz [--schedules K] [--protocol NAME] [--n N] "
                "[--slots L] [--seed S] [--jobs N] [--net POLICY] "
-               "[--out NAME] [--filter SUBSTR] [--list]\n");
+               "[--out NAME] [--filter REGEX] [--list]\n");
 }
 
 bool parse_cli(int argc, char** argv, Cli& cli) {
@@ -115,6 +116,7 @@ bool parse_cli(int argc, char** argv, Cli& cli) {
 std::vector<ambb::engine::Job> expand(const Cli& cli) {
   using namespace ambb;
   const bool lockstep = cli.common.net == "lockstep";
+  const auto keep = engine::label_filter(cli.common.filter);
   std::vector<engine::Job> out;
   for (const auto& info : protocols()) {
     if (!cli.protocol.empty() && info.name != cli.protocol) continue;
@@ -134,10 +136,7 @@ std::vector<ambb::engine::Job> expand(const Cli& cli) {
                           (lockstep ? std::string() : "/" + cli.common.net) +
                           "/f" + std::to_string(p.f) + "/s" +
                           std::to_string(p.seed);
-      if (!cli.common.filter.empty() &&
-          label.find(cli.common.filter) == std::string::npos) {
-        continue;
-      }
+      if (!keep(label)) continue;
       out.push_back(engine::registry_job(info.name, p, std::move(label)));
     }
   }

@@ -1,13 +1,14 @@
 // ambb_sweep — run declarative experiment sweeps on the parallel engine.
 //
-//   ambb_sweep --spec FILE [--jobs N] [--filter SUBSTR] [--out NAME]
+//   ambb_sweep --spec FILE [--jobs N] [--filter REGEX] [--out NAME]
 //              [--net POLICY] [--trace-dir DIR] [--list]
 //
 //   --spec FILE      sweep specification (format: src/engine/sweep.hpp)
 //   --jobs N         worker threads; 0 or omitted = one per hardware
 //                    thread; 1 = serial (byte-identical results either
 //                    way — that is the engine's determinism contract)
-//   --filter SUBSTR  keep only jobs whose label contains SUBSTR
+//   --filter REGEX   keep only jobs whose label matches the ECMAScript
+//                    regex somewhere (a plain substring works as one)
 //   --out NAME       write BENCH_<NAME>.json (default: sweep)
 //   --net POLICY     delay policy for blocks without their own 'net' key
 //                    (DESIGN.md §16): lockstep (default) |
@@ -21,7 +22,8 @@
 // a BB property is reported as a structured failure row — and an "error"
 // field in the json — instead of killing the sweep. The table, the json
 // and the exit code come from engine::report_campaign: 0 clean, 1 if any
-// job failed or violated a hard oracle, 2 on bad input or I/O failure.
+// job failed, violated a hard oracle or missed its block's "expect
+// slope", 2 on bad input or I/O failure.
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -47,7 +49,7 @@ struct Cli {
 
 void usage(std::FILE* to) {
   std::fprintf(to,
-               "usage: ambb_sweep --spec FILE [--jobs N] [--filter SUBSTR] "
+               "usage: ambb_sweep --spec FILE [--jobs N] [--filter REGEX] "
                "[--out NAME] [--net POLICY] [--trace-dir DIR] [--list]\n");
 }
 
@@ -99,9 +101,10 @@ int main(int argc, char** argv) {
   std::ostringstream text;
   text << in.rdbuf();
 
+  std::vector<engine::SweepSpec> specs;
   std::vector<engine::SweepJob> sweep_jobs;
   try {
-    std::vector<engine::SweepSpec> specs = engine::parse_spec(text.str());
+    specs = engine::parse_spec(text.str());
     // --net is the default delay policy: blocks with their own 'net' key
     // keep it, everything else inherits the flag.
     if (cli.common.net != "lockstep") {
@@ -112,7 +115,7 @@ int main(int argc, char** argv) {
     sweep_jobs =
         engine::filter_jobs(engine::expand_all(specs), cli.common.filter);
   } catch (const CheckError& e) {
-    std::fprintf(stderr, "ambb_sweep: invalid spec: %s\n", e.what());
+    std::fprintf(stderr, "ambb_sweep: %s\n", e.what());
     return 2;
   }
 
@@ -140,5 +143,6 @@ int main(int argc, char** argv) {
   }
   return engine::run_campaign(
       "ambb_sweep", cli.common.out,
-      engine::to_engine_jobs(sweep_jobs, cli.trace_dir), cli.common.jobs);
+      engine::to_engine_jobs(sweep_jobs, cli.trace_dir), cli.common.jobs,
+      engine::slope_checks(specs, sweep_jobs));
 }

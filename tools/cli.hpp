@@ -81,7 +81,7 @@ struct CommonFlags {
   unsigned accept = kJobs | kOut | kFilter | kNet;
   unsigned jobs = 0;           ///< --jobs: 0 = one per hardware thread
   std::string out;             ///< --out: BENCH_<out>.json basename
-  std::string filter;          ///< --filter: label substring
+  std::string filter;          ///< --filter: label regex (label_filter)
   std::string net = "lockstep";  ///< --net: delay policy (DESIGN.md §16)
 };
 
